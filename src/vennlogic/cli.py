@@ -44,7 +44,7 @@ from .evaluate import (
 )
 from .expr import compile_expr, parse
 from .logic_core import FuzzyValue, PrevalenceOrder
-from .venn import enumerate_parts
+from .venn import OperatorSpec, enumerate_parts
 
 DEFAULT_TABLE2_ASSIGN = "x=0.5,0.3,0.2;y=0.4,0.4,0.2"
 
@@ -73,10 +73,14 @@ def _fmt(x) -> str:
     return format(x, ".12g")
 
 
+# A value's output columns are its dataclass fields in declaration order:
+# t, f for fuzzy values and T, I, F for three-component ones.
 def _value_to_json(v):
-    if isinstance(v, FuzzyValue):
-        return {"t": _round12(v.t), "f": _round12(v.f)}
-    return {"T": _round12(v.T), "I": _round12(v.I), "F": _round12(v.F)}
+    return {name: _round12(x) for name, x in vars(v).items()}
+
+
+def _value_cells(v) -> list[str]:
+    return [_fmt(x) for x in vars(v).values()]
 
 
 def _emit_json(payload) -> None:
@@ -102,6 +106,8 @@ def _parse_vars(text: str) -> tuple[str, ...]:
     names = tuple(name.strip() for name in text.split(","))
     if any(not name for name in names):
         raise ParseError(f"bad variable list {text!r}", 0, {"name"})
+    if len(set(names)) != len(names):
+        raise ArityMismatch("duplicate variable names")
     return names
 
 
@@ -128,6 +134,8 @@ def _parse_assignment(text: str, logic: str) -> Assignment:
         rows.append(comps)
     if not names:
         raise ParseError("empty assignment", 0, {"name=value"})
+    if len(set(names)) != len(names):
+        raise ArityMismatch("duplicate variable names in assignment")
 
     if logic == "neutrosophic":
         for name, comps in zip(names, rows):
@@ -176,10 +184,18 @@ def _ordered_assignment(a: Assignment, var_names) -> Assignment:
     return Assignment(tuple(var_names), tuple(lookup[n] for n in var_names))
 
 
+def _compile(text: str, names) -> OperatorSpec:
+    """Parse and compile; a formula nested too deeply for the recursive
+    parser and compiler is a usage error, not a crash."""
+    try:
+        return compile_expr(parse(text), names)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
+
+
 def cmd_codify(args) -> int:
-    tree = parse(args.expr)
     names = _parse_vars(args.vars)
-    spec = compile_expr(tree, names)
+    spec = _compile(args.expr, names)
     parts = spec.shaded_parts()
     labels = [p.label() for p in parts]
     if args.format == "json":
@@ -209,8 +225,7 @@ def cmd_eval(args) -> int:
     assignment = _parse_assignment(args.assign, args.logic)
     names = _parse_vars(args.vars) if args.vars else assignment.names
     assignment = _ordered_assignment(assignment, names)
-    tree = parse(args.expr)
-    spec = compile_expr(tree, names)
+    spec = _compile(args.expr, names)
     order = PrevalenceOrder.from_string(args.order)
     report = evaluate_operator(spec, assignment, order=order, with_oracle=args.oracle)
     if args.format == "json":
@@ -232,30 +247,12 @@ def cmd_eval(args) -> int:
             }
         )
         return 0
-    if assignment.kind == "fuzzy":
-        header = ("part", "shaded", "t", "f")
-        rows = [
-            (p.label(), int(spec.is_shaded(p.mask)), _fmt(v.t), _fmt(v.f))
-            for p, v in report.part_values
-        ]
-        rows.append(
-            ("aggregate", "", _fmt(report.aggregate.t), _fmt(report.aggregate.f))
-        )
-    else:
-        header = ("part", "shaded", "T", "I", "F")
-        rows = [
-            (p.label(), int(spec.is_shaded(p.mask)), _fmt(v.T), _fmt(v.I), _fmt(v.F))
-            for p, v in report.part_values
-        ]
-        rows.append(
-            (
-                "aggregate",
-                "",
-                _fmt(report.aggregate.T),
-                _fmt(report.aggregate.I),
-                _fmt(report.aggregate.F),
-            )
-        )
+    header = ("part", "shaded", *vars(report.aggregate))
+    rows = [
+        (p.label(), int(spec.is_shaded(p.mask)), *_value_cells(v))
+        for p, v in report.part_values
+    ]
+    rows.append(("aggregate", "", *_value_cells(report.aggregate)))
     if args.format == "csv":
         _emit_csv(header, rows)
     else:
@@ -326,16 +323,7 @@ def cmd_table(args) -> int:
         )
     else:
         table = [
-            (
-                r.row,
-                r.index,
-                r.name,
-                _fmt(r.value.T),
-                _fmt(r.value.I),
-                _fmt(r.value.F),
-                r.strategy,
-                _fmt(r.tau),
-            )
+            (r.row, r.index, r.name, *_value_cells(r.value), r.strategy, _fmt(r.tau))
             for r in rows
         ]
         header = ("row", "index", "name", "T", "I", "F", "strategy", "tau")
@@ -347,6 +335,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_parts(args) -> int:
+    if args.n < 1:
+        raise ArityMismatch(f"need at least one variable, got n={args.n}")
     parts = enumerate_parts(args.n)
     if args.format == "json":
         _emit_json(

@@ -117,14 +117,14 @@ def fuzzy_part_value(part: Part, a: Assignment) -> FuzzyValue:
 
 def _fuzzy_detail(
     spec: OperatorSpec, part_value: Callable[[Part], FuzzyValue]
-) -> tuple[FuzzyValue, str]:
+) -> tuple[FuzzyValue, str, None]:
     parts = spec.shaded_parts()
     if not parts:
-        return FuzzyValue(0.0, 1.0), "empty"
+        return FuzzyValue(0.0, 1.0), "empty", None
     if len(parts) == 1:
-        return part_value(parts[0]), f"part {parts[0].label()}"
+        return part_value(parts[0]), f"part {parts[0].label()}", None
     labels = "+".join(p.label() for p in parts)
-    return fuzzy_disj_disjoint([part_value(p) for p in parts]), f"union {labels}"
+    return fuzzy_disj_disjoint([part_value(p) for p in parts]), f"union {labels}", None
 
 
 def fuzzy_operator_eval(spec: OperatorSpec, a: Assignment) -> FuzzyValue:
@@ -134,7 +134,7 @@ def fuzzy_operator_eval(spec: OperatorSpec, a: Assignment) -> FuzzyValue:
     unchanged.
     """
     _require(a, spec.n, "fuzzy")
-    value, _ = _fuzzy_detail(spec, lambda p: fuzzy_part_value(p, a))
+    value, _, _ = _fuzzy_detail(spec, lambda p: fuzzy_part_value(p, a))
     return value
 
 
@@ -155,7 +155,6 @@ def _neutro_detail(
     a: Assignment,
     part_value: Callable[[Part], NeutrosophicValue],
 ) -> tuple[NeutrosophicValue, str, float | None]:
-    n = spec.n
     full = spec.full_mask
     if spec.shaded == 0:
         return NeutrosophicValue(0.0, 0.0, 1.0), "empty", None
@@ -163,11 +162,10 @@ def _neutro_detail(
         return NeutrosophicValue(1.0, 0.0, 0.0), "full", None
     # literal recognition keeps projections and complementations exact even
     # when aggregation would smear indeterminacy
-    for i in range(n):
-        projection = 0
-        for p in range(1 << n):
-            if p >> i & 1:
-                projection |= 1 << p
+    for i in range(spec.n):
+        # bit p is set exactly when bit i of p is: blocks of 2^i zeros then
+        # 2^i ones, repeated across the 2^n-bit mask
+        projection = full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
         if spec.shaded == projection:
             return a.values[i], f"projection {a.names[i]}", None
         if spec.shaded == full ^ projection:
@@ -261,11 +259,11 @@ def _fuzzy_part_oracle(part: Part, a: Assignment) -> FuzzyValue:
     return FuzzyValue(truth, 1.0 - miss)
 
 
-def _neutro_part_oracle(part, a, order, max_k=ORACLE_MAX_K):
+def _neutro_part_oracle(part, a, order):
     operands = [
         v if part.mask >> i & 1 else neutro_neg(v) for i, v in enumerate(a.values)
     ]
-    return oracle_expand(operands, order, max_k)
+    return oracle_expand(operands, order)
 
 
 @dataclass(frozen=True)
@@ -291,9 +289,32 @@ class EvalReport:
 
 
 def _delta(x: Value, y: Value) -> float:
-    if isinstance(x, FuzzyValue):
-        return max(abs(x.t - y.t), abs(x.f - y.f))
-    return max(abs(x.T - y.T), abs(x.I - y.I), abs(x.F - y.F))
+    return max(abs(p - q) for p, q in zip(vars(x).values(), vars(y).values()))
+
+
+def _neutro_residual(a: Assignment, values: Sequence[NeutrosophicValue]) -> float:
+    target = diagram_norm(a)
+    return max(abs(v.norm() - target) for v in values)
+
+
+# What evaluate_operator needs from each logic: part value, brute-force part
+# value, aggregation route and partition residual.  Public functions are
+# looked up by their global names at call time, so rebinding a module
+# attribute (as tracing does) still reaches every call.
+_LOGICS = {
+    "fuzzy": (
+        lambda p, a, order: fuzzy_part_value(p, a),
+        lambda p, a, order: _fuzzy_part_oracle(p, a),
+        lambda spec, a, part_value: _fuzzy_detail(spec, part_value),
+        lambda a, values: abs(fsum(v.t for v in values) - 1.0),
+    ),
+    "neutrosophic": (
+        lambda p, a, order: neutro_part_value(p, a, order),
+        _neutro_part_oracle,
+        _neutro_detail,
+        _neutro_residual,
+    ),
+}
 
 
 def evaluate_operator(
@@ -305,46 +326,23 @@ def evaluate_operator(
     """Evaluate a shaded operator and report per-part values, the aggregation
     strategy, and optional brute-force cross-check."""
     all_parts = tuple(Part(spec.n, p) for p in range(spec.part_count))
-    if a.kind == "fuzzy":
-        _require(a, spec.n, "fuzzy")
-        by_mask = {p.mask: fuzzy_part_value(p, a) for p in all_parts}
-        aggregate, strategy = _fuzzy_detail(spec, lambda p: by_mask[p.mask])
-        tau = None
-        residual = abs(fsum(v.t for v in by_mask.values()) - 1.0)
-        oracle_delta = None
-        if with_oracle:
-            oracle_by_mask = {p.mask: _fuzzy_part_oracle(p, a) for p in all_parts}
-            oracle_agg, _ = _fuzzy_detail(spec, lambda p: oracle_by_mask[p.mask])
-            oracle_delta = max(
-                _delta(oracle_agg, aggregate),
-                max(_delta(by_mask[m], oracle_by_mask[m]) for m in by_mask),
-            )
-    else:
-        _require(a, spec.n, "neutrosophic")
-        by_mask = {p.mask: neutro_part_value(p, a, order) for p in all_parts}
-        aggregate, strategy, tau = _neutro_detail(spec, a, lambda p: by_mask[p.mask])
-        target = diagram_norm(a)
-        residual = max(abs(v.norm() - target) for v in by_mask.values())
-        oracle_delta = None
-        if with_oracle:
-            oracle_by_mask = {
-                p.mask: _neutro_part_oracle(p, a, order) for p in all_parts
-            }
-            oracle_agg, _, _ = _neutro_detail(
-                spec, a, lambda p: oracle_by_mask[p.mask]
-            )
-            oracle_delta = max(
-                _delta(oracle_agg, aggregate),
-                max(_delta(by_mask[m], oracle_by_mask[m]) for m in by_mask),
-            )
+    _require(a, spec.n, a.kind)
+    part_value, part_oracle, detail, residual = _LOGICS[a.kind]
+    values = [part_value(p, a, order) for p in all_parts]
+    aggregate, strategy, tau = detail(spec, a, lambda p: values[p.mask])
+    oracle_delta = None
+    if with_oracle:
+        expected = [part_oracle(p, a, order) for p in all_parts]
+        expected_agg, _, _ = detail(spec, a, lambda p: expected[p.mask])
+        oracle_delta = max(map(_delta, [aggregate, *values], [expected_agg, *expected]))
     return EvalReport(
         spec=spec,
         logic=a.kind,
-        part_values=tuple((p, by_mask[p.mask]) for p in all_parts),
+        part_values=tuple(zip(all_parts, values)),
         aggregate=aggregate,
         strategy=strategy,
         tau=tau,
-        partition_residual=residual,
+        partition_residual=residual(a, values),
         oracle_delta=oracle_delta,
     )
 

@@ -24,15 +24,17 @@ EPS_DEN = 1e-12   # below this a rescaling denominator counts as zero
 
 
 def _unit(x: float, what: str) -> float:
-    """Check x against [0, 1] with EPS_NORM slack and clamp float fuzz."""
-    if x < -EPS_NORM or x > 1.0 + EPS_NORM:
+    """Check x against [0, 1] with EPS_NORM slack and clamp float fuzz.
+    NaN fails the comparison and is rejected."""
+    if not -EPS_NORM <= x <= 1.0 + EPS_NORM:
         raise DomainError(f"{what} must lie in [0, 1], got {x!r}")
     return min(1.0, max(0.0, x))
 
 
 def _nonnegative(x: float, what: str) -> float:
-    if x < -EPS_NORM:
-        raise DomainError(f"{what} must be nonnegative, got {x!r}")
+    """Check that x is finite and at least -EPS_NORM, and clamp float fuzz."""
+    if not -EPS_NORM <= x < math.inf:
+        raise DomainError(f"{what} must be finite and nonnegative, got {x!r}")
     return max(0.0, x)
 
 
@@ -280,8 +282,8 @@ def neutro_disj_disjoint(
     """
     if len(values) < 2:
         raise DomainError("disjoint disjunction needs at least two operands")
-    if tau < -EPS_NORM:
-        raise DomainError(f"target norm must be nonnegative, got {tau!r}")
+    if not -EPS_NORM <= tau < math.inf:
+        raise DomainError(f"target norm must be finite and nonnegative, got {tau!r}")
     t = math.fsum(v.T for v in values)
     if t > 1.0 + EPS_NORM:
         raise DisjointnessViolation(

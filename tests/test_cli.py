@@ -135,6 +135,15 @@ class TestEvalNeutrosophic:
         assert natural["aggregate"] == reordered["aggregate"]
         assert natural["index"] == reordered["index"] == 2
 
+    def test_csv_header_names_three_components(self, capsys):
+        rc, out, _ = run(
+            capsys,
+            "eval", "-e", "x & y", "-a", NEUTRO_ASSIGN, "--logic", "neutrosophic",
+            "--format", "csv",
+        )
+        assert rc == 0
+        assert out.splitlines()[0] == "part,shaded,T,I,F"
+
     def test_xor_reports_tau(self, capsys):
         payload = run_json(
             capsys,
@@ -194,6 +203,46 @@ class TestErrorPaths:
         rc, _, err = run(capsys, "eval", "-e", "x", "-a", "x=0.5,0.9")
         assert rc == 3
         assert "t + f = 1" in err
+
+    def test_nan_component_is_numeric(self, capsys):
+        rc, out, err = run(capsys, "eval", "-e", "x & y", "-a", "x=nan,1;y=0.5")
+        assert rc == 3
+        assert out == ""
+        assert "nan" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("parts", "0"),
+            ("codify", "-e", "x", "-v", "x,x"),
+            ("eval", "-e", "x", "-v", "x,x", "-a", "x=0.5"),
+            ("eval", "-e", "x", "-a", "x=0.5;x=0.3"),
+        ],
+    )
+    def test_bad_arguments_are_usage(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["(" * 164 + "x" + ")" * 164, "!" * 3000 + "x", " & ".join(["x"] * 2000)],
+        ids=["164-parentheses", "3000-negations", "2000-leaf-chain"],
+    )
+    @pytest.mark.parametrize(
+        "command", [("codify", "-v", "x"), ("eval", "-a", "x=0.5")], ids=["codify", "eval"]
+    )
+    def test_deep_expression_is_usage(self, capsys, expr, command):
+        rc, out, err = run(capsys, command[0], "-e", expr, *command[1:])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "nested too deeply" in err
+
+    def test_hundred_parentheses_still_compile(self, capsys):
+        payload = run_json(capsys, "codify", "-e", "(" * 100 + "x" + ")" * 100, "-v", "x")
+        assert payload["index"] == 0b10
 
     def test_bad_subcommand_usage(self, capsys):
         with pytest.raises(SystemExit) as info:

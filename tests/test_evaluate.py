@@ -17,6 +17,7 @@ from vennlogic import (
     OperatorSpec,
     OracleTooLarge,
     Part,
+    compile_expr,
     diagram_norm,
     evaluate_operator,
     fuzzy_operator_eval,
@@ -29,7 +30,9 @@ from vennlogic import (
     neutro_operator_table,
     neutro_part_value,
     oracle_expand,
+    parse,
 )
+from vennlogic.evaluate import _neutro_detail
 
 FUZZY_XY = Assignment.fuzzy(("x", "y"), (0.6, 0.3))
 NEUTRO_XY = Assignment.neutrosophic(
@@ -225,6 +228,28 @@ class TestNeutroOperators:
     def test_requires_neutrosophic_assignment(self):
         with pytest.raises(ArityMismatch):
             neutro_operator_eval(OperatorSpec(2, 6), FUZZY_XY)
+
+    def test_literals_recognized_at_twelve_variables(self):
+        # n = 12 uses dotted part labels; a literal must come back exactly,
+        # without valuing a single part
+        rng = random.Random(4096)
+        names = [f"x{i}" for i in range(1, 13)]
+        a = Assignment.neutrosophic(
+            names, [(rng.random(), rng.random(), rng.random()) for _ in names]
+        )
+
+        def no_parts(part):
+            raise AssertionError(f"part {part.label()} valued")
+
+        for i, name in enumerate(names):
+            spec = compile_expr(parse(name), names)
+            assert _neutro_detail(spec, a, no_parts) == (
+                a.values[i], f"projection {name}", None
+            )
+            spec = compile_expr(parse(f"!{name}"), names)
+            assert _neutro_detail(spec, a, no_parts) == (
+                neutro_neg(a.values[i]), f"complement {name}", None
+            )
 
 
 class TestOracle:

@@ -1,5 +1,6 @@
 """Unit and property tests for the value algebra."""
 
+import math
 import random
 from itertools import permutations, product
 
@@ -61,6 +62,12 @@ class TestFuzzyValue:
             FuzzyValue(1.2, -0.2)
         with pytest.raises(DomainError):
             FuzzyValue(-0.1, 1.1)
+
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            FuzzyValue(math.nan, 1.0)
+        with pytest.raises(DomainError):
+            inclusion_exclusion([0.5, math.nan])
 
     def test_clamps_float_fuzz(self):
         v = FuzzyValue(1.0 + 1e-12, -1e-12)
@@ -323,11 +330,22 @@ class TestNeutroDisjDisjoint:
         with pytest.raises(DomainError):
             neutro_disj_disjoint([NeutrosophicValue(0.4, 0.1, 0.2)], 1.0)
 
+    def test_non_finite_target_rejected(self):
+        values = [NeutrosophicValue(0.2, 0.1, 0.2), NeutrosophicValue(0.3, 0.1, 0.1)]
+        for tau in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                neutro_disj_disjoint(values, tau)
+
 
 class TestNeutrosophicValue:
     def test_negative_component_rejected(self):
         with pytest.raises(DomainError):
             NeutrosophicValue(-0.2, 0.1, 0.1)
+
+    def test_non_finite_component_rejected(self):
+        for bad in ((math.inf, 0.0, 0.0), (0.1, math.nan, 0.1), (0.1, 0.1, math.inf)):
+            with pytest.raises(DomainError):
+                NeutrosophicValue(*bad)
 
     def test_components_above_one_allowed(self):
         v = NeutrosophicValue(0.5, 1.4, 2.3)
