@@ -22,7 +22,7 @@ from .logic_core import (
     neutro_disj_disjoint,
     neutro_neg,
 )
-from .venn import OperatorSpec, Part, complement, knuth_registry
+from .venn import OperatorSpec, Part, complement, knuth_registry, projection_mask
 
 Value = Union[FuzzyValue, NeutrosophicValue]
 
@@ -163,9 +163,7 @@ def _neutro_detail(
     # literal recognition keeps projections and complementations exact even
     # when aggregation would smear indeterminacy
     for i in range(spec.n):
-        # bit p is set exactly when bit i of p is: blocks of 2^i zeros then
-        # 2^i ones, repeated across the 2^n-bit mask
-        projection = full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+        projection = projection_mask(spec.n, i)
         if spec.shaded == projection:
             return a.values[i], f"projection {a.names[i]}", None
         if spec.shaded == full ^ projection:
@@ -260,6 +258,12 @@ def _fuzzy_part_oracle(part: Part, a: Assignment) -> FuzzyValue:
 
 
 def _neutro_part_oracle(part, a, order):
+    # the budget covers the whole report, all 2^n expansions of 3^n terms,
+    # so the first part refuses before anything is expanded
+    if 2 ** part.n * 3 ** part.n > 3 ** ORACLE_MAX_K:
+        raise OracleTooLarge(
+            f"2^{part.n} parts of 3^{part.n} terms exceed the budget of 3^{ORACLE_MAX_K}"
+        )
     operands = [
         v if part.mask >> i & 1 else neutro_neg(v) for i, v in enumerate(a.values)
     ]
@@ -288,6 +292,48 @@ class EvalReport:
     oracle_delta: float | None
 
 
+def _kron(pairs) -> list[float]:
+    """All 2^n products of one factor per (off, on) pair, indexed by part
+    mask: factor i is on where bit i of the mask is set and off where it is
+    not.  Factors multiply in variable order, as in fuzzy_part_value."""
+    out = [1.0]
+    for off, on in pairs:
+        out = [x * off for x in out] + [x * on for x in out]
+    return out
+
+
+def _fuzzy_parts(a: Assignment, order: PrevalenceOrder) -> list[FuzzyValue]:
+    """Every part's fuzzy value: the truths of fuzzy_part_value, bit for
+    bit, and falsehood 1 - t."""
+    truths = _kron((1.0 - v.t, v.t) for v in a.values)
+    return [FuzzyValue.from_truth(t) for t in truths]
+
+
+def _neutro_parts(a: Assignment, order: PrevalenceOrder) -> list[NeutrosophicValue]:
+    """Every part's three-component value, as neutro_part_value gives it.
+
+    Under the order a < b < c, a part's conjunction credits bucket a with
+    the terms drawn from class a alone, prod(a); bucket b with those drawn
+    from a and b that hold a b, prod(a+b) - prod(a); and bucket c with the
+    rest, tau - prod(a+b), where tau, the product of the variable norms, is
+    the same for every part.  Each product is a Kronecker product over a
+    variable's (negated, member) sides.
+    """
+    def sides(c: Component) -> list[tuple[float, float]]:
+        return [(getattr(neutro_neg(v), c.value), getattr(v, c.value)) for v in a.values]
+
+    weak, middle = (sides(c) for c in order.order[:2])
+    low = _kron(weak)
+    both = _kron((w0 + m0, w1 + m1) for (w0, w1), (m0, m1) in zip(weak, middle))
+    tau = diagram_norm(a)
+    rank_t, rank_i, rank_f = (order.rank(c) for c in Component)
+    values = []
+    for x, y in zip(low, both):
+        b = (x, y - x, tau - y)
+        values.append(NeutrosophicValue(b[rank_t], b[rank_i], b[rank_f]))
+    return values
+
+
 def _delta(x: Value, y: Value) -> float:
     return max(abs(p - q) for p, q in zip(vars(x).values(), vars(y).values()))
 
@@ -297,19 +343,19 @@ def _neutro_residual(a: Assignment, values: Sequence[NeutrosophicValue]) -> floa
     return max(abs(v.norm() - target) for v in values)
 
 
-# What evaluate_operator needs from each logic: part value, brute-force part
-# value, aggregation route and partition residual.  Public functions are
-# looked up by their global names at call time, so rebinding a module
-# attribute (as tracing does) still reaches every call.
+# What evaluate_operator needs from each logic: all part values at once,
+# brute-force part value, aggregation route and partition residual.  Public
+# functions are looked up by their global names at call time, so rebinding a
+# module attribute (as tracing does) still reaches every call.
 _LOGICS = {
     "fuzzy": (
-        lambda p, a, order: fuzzy_part_value(p, a),
+        _fuzzy_parts,
         lambda p, a, order: _fuzzy_part_oracle(p, a),
         lambda spec, a, part_value: _fuzzy_detail(spec, part_value),
         lambda a, values: abs(fsum(v.t for v in values) - 1.0),
     ),
     "neutrosophic": (
-        lambda p, a, order: neutro_part_value(p, a, order),
+        _neutro_parts,
         _neutro_part_oracle,
         _neutro_detail,
         _neutro_residual,
@@ -324,11 +370,21 @@ def evaluate_operator(
     with_oracle: bool = False,
 ) -> EvalReport:
     """Evaluate a shaded operator and report per-part values, the aggregation
-    strategy, and optional brute-force cross-check."""
+    strategy, and optional brute-force cross-check.
+
+    All 2^n part values come from one pass of O(2^n) multiplies: fuzzy
+    truths are the Kronecker product of the (1 - t_i, t_i) pairs, and
+    three-component values telescope the prevalence buckets out of two such
+    products.  fuzzy_part_value and neutro_part_value give the same values
+    one part at a time.  with_oracle recomputes every part by brute force,
+    independently of both; for three-component values that expands 3^n
+    terms per part, and a report whose 2^n * 3^n terms exceed
+    3^ORACLE_MAX_K raises OracleTooLarge before expanding any.
+    """
     all_parts = tuple(Part(spec.n, p) for p in range(spec.part_count))
     _require(a, spec.n, a.kind)
-    part_value, part_oracle, detail, residual = _LOGICS[a.kind]
-    values = [part_value(p, a, order) for p in all_parts]
+    all_values, part_oracle, detail, residual = _LOGICS[a.kind]
+    values = all_values(a, order)
     aggregate, strategy, tau = detail(spec, a, lambda p: values[p.mask])
     oracle_delta = None
     if with_oracle:

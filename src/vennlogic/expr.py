@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import DomainError, ParseError, UnknownVariable
-from .venn import OperatorSpec, _check_n
+from .venn import OperatorSpec, _check_n, projection_mask
 
 BOOL_OPS: dict[str, Callable[[bool, bool], bool]] = {
     "and": lambda a, b: a and b,
@@ -358,15 +358,48 @@ def evaluate_bool(e: Expr, env: Mapping[str, bool]) -> bool:
     raise DomainError(f"not a formula node: {e!r}")
 
 
+# The connectives on 2^n-bit truth tables: bit p of each operand is its
+# value at corner p, and `full ^ x` is negation.
+_BIT_OPS: dict[str, Callable[[int, int, int], int]] = {
+    "and": lambda a, b, full: a & b,
+    "or": lambda a, b, full: a | b,
+    "xor": lambda a, b, full: a ^ b,
+    "implies": lambda a, b, full: (full ^ a) | b,
+    "rev_implies": lambda a, b, full: a | (full ^ b),
+    "iff": lambda a, b, full: full ^ a ^ b,
+    "nand": lambda a, b, full: full ^ (a & b),
+    "nor": lambda a, b, full: full ^ (a | b),
+    "nonimplies": lambda a, b, full: a & (full ^ b),
+    "rev_nonimplies": lambda a, b, full: (full ^ a) & b,
+}
+
+
+def _truth_table(e: Expr, masks: Mapping[str, int], full: int) -> int:
+    if isinstance(e, Var):
+        return masks[e.name]
+    if isinstance(e, Const):
+        return full if e.value else 0
+    if isinstance(e, Not):
+        return full ^ _truth_table(e.child, masks, full)
+    if isinstance(e, BinOp):
+        return _BIT_OPS[e.op](
+            _truth_table(e.left, masks, full), _truth_table(e.right, masks, full), full
+        )
+    raise DomainError(f"not a formula node: {e!r}")
+
+
 def compile_expr(e: Expr, var_names: Sequence[str]) -> OperatorSpec:
     """Shade the parts of the diagram over var_names on which e holds.
 
     Part p is the corner assignment where variable i is true exactly when bit
     i-1 of p is set; the part is shaded when the formula evaluates true
-    there.  Ordering is taken from var_names, never inferred from the
-    formula, so part labels stay stable across formulas over the same
-    variables.  Declared but unused variables are fine; the shading is then
-    symmetric in them.
+    there.  The whole truth table is computed at once as a 2^n-bit integer:
+    variable i is its projection mask, a constant is 0 or all ones, and each
+    connective is one bitwise operation, so the cost is one tree walk of
+    big-integer operations rather than one walk per corner.  Ordering is
+    taken from var_names, never inferred from the formula, so part labels
+    stay stable across formulas over the same variables.  Declared but
+    unused variables are fine; the shading is then symmetric in them.
     """
     names = list(var_names)
     if not names:
@@ -380,9 +413,5 @@ def compile_expr(e: Expr, var_names: Sequence[str]) -> OperatorSpec:
             "unknown variable(s): " + ", ".join(sorted(missing))
         )
     n = len(names)
-    shaded = 0
-    for p in range(1 << n):
-        env = {name: bool(p >> i & 1) for i, name in enumerate(names)}
-        if evaluate_bool(e, env):
-            shaded |= 1 << p
-    return OperatorSpec(n, shaded)
+    masks = {name: projection_mask(n, i) for i, name in enumerate(names)}
+    return OperatorSpec(n, _truth_table(e, masks, (1 << (1 << n)) - 1))

@@ -27,6 +27,19 @@ def _check_n(n: int) -> None:
         raise TooManyVariables(f"n={n} exceeds the supported maximum of {N_MAX}")
 
 
+def projection_mask(n: int, i: int) -> int:
+    """The 2^n-bit mask of the parts inside variable i (0-based): bit p is
+    set exactly when bit i of p is, so the mask runs in blocks of 2^i zeros
+    then 2^i ones.  One 2^(i+1)-bit block is doubled until it covers all
+    2^n bits, which takes n - i - 1 shifts and ors."""
+    width = 2 << i
+    mask = ((1 << (1 << i)) - 1) << (1 << i)
+    while width < 1 << n:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
 @dataclass(frozen=True)
 class Part:
     """One disjoint region of an n-variable diagram."""

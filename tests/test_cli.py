@@ -244,6 +244,17 @@ class TestErrorPaths:
         payload = run_json(capsys, "codify", "-e", "(" * 100 + "x" + ")" * 100, "-v", "x")
         assert payload["index"] == 0b10
 
+    def test_oracle_over_budget_is_numeric(self, capsys):
+        names = [f"x{i}" for i in range(8)]
+        assign = ";".join(f"{name}=0.5,0.3,0.2" for name in names)
+        rc, out, err = run(
+            capsys, "eval", "-e", " ^ ".join(names), "-a", assign,
+            "--logic", "neutrosophic", "--oracle",
+        )
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
+
     def test_bad_subcommand_usage(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["eval", "-e", "x"])

@@ -1,6 +1,7 @@
 """Tests for part valuation, operator evaluation, and the catalog tables."""
 
 import random
+from itertools import permutations
 from math import fsum
 
 import pytest
@@ -10,6 +11,7 @@ from vennlogic import (
     TIF,
     ArityMismatch,
     Assignment,
+    Component,
     DomainError,
     EvalReport,
     FuzzyValue,
@@ -17,6 +19,7 @@ from vennlogic import (
     OperatorSpec,
     OracleTooLarge,
     Part,
+    PrevalenceOrder,
     compile_expr,
     diagram_norm,
     evaluate_operator,
@@ -32,12 +35,30 @@ from vennlogic import (
     oracle_expand,
     parse,
 )
+from vennlogic import evaluate
 from vennlogic.evaluate import _neutro_detail
 
 FUZZY_XY = Assignment.fuzzy(("x", "y"), (0.6, 0.3))
 NEUTRO_XY = Assignment.neutrosophic(
     ("x", "y"), ((0.5, 0.3, 0.2), (0.4, 0.4, 0.2))
 )
+
+
+ALL_ORDERS = [PrevalenceOrder(p) for p in permutations(Component)]
+
+
+def _triples(rng, n):
+    """n triples with T + I + F uniform on [0.5, 1]."""
+    out = []
+    for _ in range(n):
+        s = rng.uniform(0.5, 1.0)
+        lo, hi = sorted((rng.random(), rng.random()))
+        out.append((s * lo, s * (hi - lo), s * (1.0 - hi)))
+    return out
+
+
+def _names(n):
+    return [f"x{i}" for i in range(n)]
 
 
 def _close(got, want, tol=1e-12):
@@ -297,6 +318,64 @@ class TestEvaluateOperator:
         report = evaluate_operator(OperatorSpec(2, 0b1000), NEUTRO_XY)
         assert report.oracle_delta is None
         assert report.tau is None
+
+
+class TestAllParts:
+    """evaluate_operator values all parts in one pass; the per-part public
+    functions are the reference."""
+
+    def test_fuzzy_matches_part_function(self):
+        rng = random.Random(1618)
+        for n in range(1, 11):
+            a = Assignment.fuzzy(_names(n), [rng.random() for _ in range(n)])
+            report = evaluate_operator(OperatorSpec(n, 0), a)
+            for part, got in report.part_values:
+                assert got.t == fuzzy_part_value(part, a).t, (n, part.mask)
+                assert got.f == 1.0 - got.t
+
+    def test_neutro_matches_part_function_in_every_order(self):
+        rng = random.Random(1414)
+        for n in range(1, 11):
+            a = Assignment.neutrosophic(_names(n), _triples(rng, n))
+            for order in ALL_ORDERS:
+                report = evaluate_operator(OperatorSpec(n, 0), a, order)
+                for part, got in report.part_values:
+                    want = neutro_part_value(part, a, order)
+                    _close(got, (want.T, want.I, want.F))
+
+    @pytest.mark.parametrize("kind", ["fuzzy", "neutrosophic"])
+    def test_partition_residual_at_sixteen_variables(self, kind):
+        rng = random.Random(16)
+        if kind == "fuzzy":
+            a = Assignment.fuzzy(_names(16), [rng.random() for _ in range(16)])
+        else:
+            a = Assignment.neutrosophic(_names(16), _triples(rng, 16))
+        report = evaluate_operator(OperatorSpec(16, 0b0110), a, TIF)
+        assert len(report.part_values) == 1 << 16
+        assert report.partition_residual <= 1e-9
+
+
+class TestOracleBudget:
+    def test_eight_variables_refused_before_expanding(self, monkeypatch):
+        def expand(*args, **kwargs):
+            raise AssertionError("oracle_expand called")
+
+        monkeypatch.setattr(evaluate, "oracle_expand", expand)
+        a = Assignment.neutrosophic(_names(8), _triples(random.Random(8), 8))
+        with pytest.raises(OracleTooLarge):
+            evaluate_operator(OperatorSpec(8, 0b0110), a, with_oracle=True)
+
+    def test_six_variables_still_checked(self):
+        a = Assignment.neutrosophic(_names(6), _triples(random.Random(6), 6))
+        spec = compile_expr(parse(" ^ ".join(_names(6))), _names(6))
+        report = evaluate_operator(spec, a, with_oracle=True)
+        assert report.oracle_delta <= 1e-12
+
+    def test_fuzzy_oracle_has_no_budget(self):
+        rng = random.Random(88)
+        a = Assignment.fuzzy(_names(8), [rng.random() for _ in range(8)])
+        report = evaluate_operator(OperatorSpec(8, 0b0110), a, with_oracle=True)
+        assert report.oracle_delta <= 1e-12
 
 
 class TestTables:

@@ -1,5 +1,7 @@
 """Parser, printer, and compiler tests for the formula surface syntax."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from vennlogic import (
     render,
     variables,
 )
+from vennlogic.venn import projection_mask
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -36,6 +39,29 @@ def _extend(children):
 
 
 asts = st.recursive(leaves, _extend, max_leaves=25)
+
+
+def _random_formula(rng, names, leaves):
+    """A formula with the given number of leaves, about one in ten of them
+    a constant, and a negation on about one node in five."""
+    if leaves == 1:
+        node = Const(rng.random() < 0.5) if rng.random() < 0.1 else Var(rng.choice(names))
+    else:
+        k = rng.randint(1, leaves - 1)
+        node = BinOp(
+            rng.choice(sorted(BOOL_OPS)),
+            _random_formula(rng, names, k),
+            _random_formula(rng, names, leaves - k),
+        )
+    return Not(node) if rng.random() < 0.2 else node
+
+
+def _node_kinds(e):
+    if isinstance(e, BinOp):
+        return {e.op} | _node_kinds(e.left) | _node_kinds(e.right)
+    if isinstance(e, Not):
+        return {"not"} | _node_kinds(e.child)
+    return {type(e).__name__}
 
 
 class TestParse:
@@ -224,6 +250,32 @@ class TestCompile:
             compile_expr(x, ["x", "x"])
         with pytest.raises(UnknownVariable):
             compile_expr(parse("x & q"), ["x", "y"])
+
+    def test_bitset_compile_matches_corner_walk(self):
+        rng = random.Random(8128)
+        kinds = set()
+        for n in range(1, 9):
+            names = [f"v{i}" for i in range(n)]
+            for _ in range(12):
+                e = _random_formula(rng, names, rng.randint(1, 3 * n + 2))
+                kinds |= _node_kinds(e)
+                spec = compile_expr(e, names)
+                for p in range(1 << n):
+                    env = {name: bool(p >> i & 1) for i, name in enumerate(names)}
+                    assert spec.is_shaded(p) == evaluate_bool(e, env), (render(e), p)
+        assert kinds == set(BOOL_OPS) | {"not", "Const", "Var"}
+
+    def test_xor_chain_at_twenty_variables(self):
+        names = [f"x{i}" for i in range(20)]
+        spec = compile_expr(parse(" ^ ".join(names)), names)
+        assert spec.shaded_count() == 1 << 19
+        want = 0
+        for i in range(20):
+            want ^= projection_mask(20, i)
+        assert spec.shaded == want
+        rng = random.Random(20)
+        for p in rng.sample(range(1 << 20), 500):
+            assert spec.is_shaded(p) == (p.bit_count() % 2 == 1)
 
     @given(asts)
     def test_shading_matches_corner_evaluation(self, e):

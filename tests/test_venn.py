@@ -15,6 +15,7 @@ from vennlogic import (
     knuth_registry,
     operator_from_truth_table,
 )
+from vennlogic.venn import projection_mask
 
 # Classical two-variable connectives in the catalog's row order.  Kept as
 # plain lambdas so the check shares nothing with the library tables.
@@ -126,6 +127,18 @@ class TestOperatorSpec:
         parts = enumerate_parts(4)
         assert len(parts) == 16
         assert [p.mask for p in parts] == list(range(16))
+
+
+class TestProjectionMask:
+    def test_matches_closed_form_and_definition(self):
+        for n in range(1, 13):
+            full = (1 << (1 << n)) - 1
+            for i in range(n):
+                closed = full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+                assert projection_mask(n, i) == closed, (n, i)
+                if n <= 6:
+                    bits = [projection_mask(n, i) >> p & 1 for p in range(1 << n)]
+                    assert bits == [p >> i & 1 for p in range(1 << n)], (n, i)
 
 
 class TestRegistry:
