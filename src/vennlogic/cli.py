@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import sys
+from itertools import compress
 
 from .errors import (
     ArityMismatch,
@@ -44,7 +45,7 @@ from .evaluate import (
 )
 from .expr import compile_expr, parse
 from .logic_core import FuzzyValue, PrevalenceOrder
-from .venn import OperatorSpec, enumerate_parts
+from .venn import OperatorSpec, mask_bits, part_labels
 
 DEFAULT_TABLE2_ASSIGN = "x=0.5,0.3,0.2;y=0.4,0.4,0.2"
 
@@ -68,9 +69,7 @@ def _round12(x: float) -> float:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return format(x, ".12g")
+    return "" if x is None else format(x, ".12g")
 
 
 # A value's output columns are its dataclass fields in declaration order:
@@ -87,15 +86,13 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, ensure_ascii=False))
 
 
-def _emit_csv(header, rows) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    print(out.getvalue(), end="")
-
-
-def _emit_markdown(header, rows) -> None:
+def _emit_table(fmt, header, rows) -> None:
+    """Print a header and rows as CSV, or else as a markdown table."""
+    if fmt == "csv":
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([header, *rows])
+        print(out.getvalue(), end="")
+        return
     print("| " + " | ".join(header) + " |")
     print("|" + "|".join(" --- " for _ in header) + "|")
     for row in rows:
@@ -163,9 +160,7 @@ def _parse_assignment(text: str, logic: str) -> Assignment:
             except DomainError as exc:
                 raise DomainError(f"variable {name!r}: {exc}") from None
         else:
-            raise ArityMismatch(
-                f"variable {name!r}: fuzzy values take t or t,f"
-            )
+            raise ArityMismatch(f"variable {name!r}: fuzzy values take t or t,f")
     return Assignment(tuple(names), tuple(values))
 
 
@@ -196,8 +191,9 @@ def _compile(text: str, names) -> OperatorSpec:
 def cmd_codify(args) -> int:
     names = _parse_vars(args.vars)
     spec = _compile(args.expr, names)
-    parts = spec.shaded_parts()
-    labels = [p.label() for p in parts]
+    shaded = mask_bits(spec.n, spec.shaded)
+    labels = list(compress(part_labels(spec.n), shaded))
+    masks = list(compress(range(spec.part_count), shaded))
     if args.format == "json":
         _emit_json(
             {
@@ -206,18 +202,19 @@ def cmd_codify(args) -> int:
                 "n": spec.n,
                 "index": spec.shaded,
                 "parts": labels,
-                "bits": [p.mask for p in parts],
+                "bits": masks,
             }
         )
     elif args.format == "csv":
-        _emit_csv(
+        _emit_table(
+            "csv",
             ("expression", "n", "index", "parts"),
             [(args.expr, spec.n, spec.shaded, " ".join(labels))],
         )
     else:
         print(f"expression: `{args.expr}`  vars: {', '.join(names)}")
         print(f"index: {spec.shaded}")
-        _emit_markdown(("part", "bit"), [(p.label(), p.mask) for p in parts])
+        _emit_table("markdown", ("part", "bit"), list(zip(labels, masks)))
     return 0
 
 
@@ -228,6 +225,9 @@ def cmd_eval(args) -> int:
     spec = _compile(args.expr, names)
     order = PrevalenceOrder.from_string(args.order)
     report = evaluate_operator(spec, assignment, order=order, with_oracle=args.oracle)
+    fields = tuple(vars(report.aggregate))
+    labels = part_labels(spec.n)
+    columns = report.part_values.columns
     if args.format == "json":
         _emit_json(
             {
@@ -236,7 +236,10 @@ def cmd_eval(args) -> int:
                 "logic": args.logic,
                 "order": str(order),
                 "index": spec.shaded,
-                "parts": {p.label(): _value_to_json(v) for p, v in report.part_values},
+                "parts": {
+                    label: dict(zip(fields, map(_round12, xs)))
+                    for label, *xs in zip(labels, *columns)
+                },
                 "aggregate": _value_to_json(report.aggregate),
                 "strategy": report.strategy,
                 "tau": None if report.tau is None else _round12(report.tau),
@@ -247,16 +250,14 @@ def cmd_eval(args) -> int:
             }
         )
         return 0
-    header = ("part", "shaded", *vars(report.aggregate))
+    header = ("part", "shaded", *fields)
     rows = [
-        (p.label(), int(spec.is_shaded(p.mask)), *_value_cells(v))
-        for p, v in report.part_values
+        (label, bit, *map(_fmt, xs))
+        for label, bit, *xs in zip(labels, mask_bits(spec.n, spec.shaded), *columns)
     ]
     rows.append(("aggregate", "", *_value_cells(report.aggregate)))
-    if args.format == "csv":
-        _emit_csv(header, rows)
-    else:
-        _emit_markdown(header, rows)
+    _emit_table(args.format, header, rows)
+    if args.format == "markdown":
         print(f"strategy: {report.strategy}")
         if report.tau is not None:
             print(f"tau: {_fmt(report.tau)}")
@@ -267,33 +268,17 @@ def cmd_eval(args) -> int:
 
 def cmd_table(args) -> int:
     if args.which == 1:
-        rows = fuzzy_operator_table()
+        header = ("row", "index", "truth", "symbol", "name")
+        table = [
+            (r.row, r.index, r.truth_poly, r.symbol, r.name)
+            for r in fuzzy_operator_table()
+        ]
         if args.format == "json":
-            _emit_json(
-                {
-                    "table": 1,
-                    "row_to_index": [r.index for r in rows],
-                    "rows": [
-                        {
-                            "row": r.row,
-                            "index": r.index,
-                            "truth": r.truth_poly,
-                            "symbol": r.symbol,
-                            "name": r.name,
-                        }
-                        for r in rows
-                    ],
-                }
-            )
+            rows = [dict(zip(header, row)) for row in table]
+            index = [row[1] for row in table]
+            _emit_json({"table": 1, "row_to_index": index, "rows": rows})
         else:
-            table = [
-                (r.row, r.index, r.truth_poly, r.symbol, r.name) for r in rows
-            ]
-            header = ("row", "index", "truth", "symbol", "name")
-            if args.format == "csv":
-                _emit_csv(header, table)
-            else:
-                _emit_markdown(header, table)
+            _emit_table(args.format, header, table)
         return 0
     assignment = _parse_assignment(args.assign or DEFAULT_TABLE2_ASSIGN, "neutrosophic")
     order = PrevalenceOrder.from_string(args.order)
@@ -327,28 +312,19 @@ def cmd_table(args) -> int:
             for r in rows
         ]
         header = ("row", "index", "name", "T", "I", "F", "strategy", "tau")
-        if args.format == "csv":
-            _emit_csv(header, table)
-        else:
-            _emit_markdown(header, table)
+        _emit_table(args.format, header, table)
     return 0
 
 
 def cmd_parts(args) -> int:
     if args.n < 1:
         raise ArityMismatch(f"need at least one variable, got n={args.n}")
-    parts = enumerate_parts(args.n)
+    rows = list(zip(part_labels(args.n), range(1 << args.n)))
     if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "parts": [{"label": p.label(), "mask": p.mask} for p in parts],
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(("label", "mask"), [(p.label(), p.mask) for p in parts])
+        parts = [{"label": label, "mask": mask} for label, mask in rows]
+        _emit_json({"n": args.n, "parts": parts})
     else:
-        _emit_markdown(("label", "mask"), [(p.label(), p.mask) for p in parts])
+        _emit_table(args.format, ("label", "mask"), rows)
     return 0
 
 
@@ -421,9 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"neutrosophic assignment for table 2 "
         f"(default \"{DEFAULT_TABLE2_ASSIGN}\")",
     )
-    table.add_argument(
-        "--order", choices=("TIF", "ITF", "TFI"), default="TIF"
-    )
+    table.add_argument("--order", choices=("TIF", "ITF", "TFI"), default="TIF")
     add_format(table)
     table.set_defaults(handler=cmd_table)
 

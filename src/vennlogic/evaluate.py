@@ -4,27 +4,40 @@ expansion oracle."""
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from math import fsum
-from typing import Callable, Sequence, Union
+from itertools import compress, product, repeat
+from math import fsum, isfinite, prod
+from operator import add, sub
 
 from .errors import ArityMismatch, DomainError, OracleTooLarge, VerificationFailure
 from .logic_core import (
+    EPS_NORM,
     TIF,
     Component,
     FuzzyValue,
     NeutrosophicValue,
     PrevalenceOrder,
+    _fuzzy_disj_sums,
+    _neutro_disj_sums,
     fuzzy_disj_disjoint,
     inclusion_exclusion,
     neutro_conj,
-    neutro_disj_disjoint,
     neutro_neg,
 )
-from .venn import OperatorSpec, Part, complement, knuth_registry, projection_mask
+from .venn import (
+    Columns,
+    OperatorSpec,
+    Part,
+    PartValues,
+    enumerate_parts,
+    knuth_registry,
+    mask_bits,
+    part_labels,
+    projection_mask,
+)
 
-Value = Union[FuzzyValue, NeutrosophicValue]
+Value = FuzzyValue | NeutrosophicValue
 
 ORACLE_MAX_K = 12
 
@@ -46,9 +59,7 @@ class Assignment:
         if len(set(names)) != len(names):
             raise DomainError("duplicate variable names in assignment")
         if len(values) != len(names):
-            raise ArityMismatch(
-                f"{len(names)} variable names but {len(values)} values"
-            )
+            raise ArityMismatch(f"{len(names)} variable names but {len(values)} values")
         kinds = {type(v) for v in values}
         if kinds not in ({FuzzyValue}, {NeutrosophicValue}):
             raise ArityMismatch(
@@ -82,10 +93,7 @@ class Assignment:
 
 def diagram_norm(a: Assignment) -> float:
     """Product of the variable norms; the target norm for aggregation."""
-    total = 1.0
-    for v in a.values:
-        total *= v.norm()
-    return total
+    return prod(v.norm() for v in a.values)
 
 
 def _require(a: Assignment, n: int, kind: str) -> None:
@@ -115,27 +123,46 @@ def fuzzy_part_value(part: Part, a: Assignment) -> FuzzyValue:
     return FuzzyValue(truth, inclusion_exclusion(union_args))
 
 
+def _columns(values: Sequence[Value]) -> list[list[float]]:
+    """The value columns of per-part values listed in mask order."""
+    return [list(c) for c in zip(*(vars(v).values() for v in values))]
+
+
+def _side_detail(n: int, side: int, columns: Columns, make, disjoin, *args):
+    """Value and strategy of the parts set in side: one part is make(*its
+    column entries), several are disjoin(count, *column fsums, *args)."""
+    bits = mask_bits(n, side)
+    labels = "+".join(compress(part_labels(n), bits))
+    if side & (side - 1) == 0:
+        p = side.bit_length() - 1
+        return make(*(c[p] for c in columns)), f"part {labels}"
+    sums = (fsum(compress(c, bits)) for c in columns)
+    return disjoin(side.bit_count(), *sums, *args), f"union {labels}"
+
+
 def _fuzzy_detail(
-    spec: OperatorSpec, part_value: Callable[[Part], FuzzyValue]
+    spec: OperatorSpec, a: Assignment, columns: Columns
 ) -> tuple[FuzzyValue, str, None]:
-    parts = spec.shaded_parts()
-    if not parts:
+    if spec.shaded == 0:
         return FuzzyValue(0.0, 1.0), "empty", None
-    if len(parts) == 1:
-        return part_value(parts[0]), f"part {parts[0].label()}", None
-    labels = "+".join(p.label() for p in parts)
-    return fuzzy_disj_disjoint([part_value(p) for p in parts]), f"union {labels}", None
+    value, strategy = _side_detail(
+        spec.n, spec.shaded, columns, FuzzyValue, _fuzzy_disj_sums
+    )
+    return value, strategy, None
 
 
 def fuzzy_operator_eval(spec: OperatorSpec, a: Assignment) -> FuzzyValue:
-    """Fuzzy value of a shaded operator: the disjoint sum of its parts.
+    """Fuzzy value of a shaded operator: the disjoint sum of its parts, each
+    valued by fuzzy_part_value.
 
     The empty operator is (0, 1); a single shaded part passes through
     unchanged.
     """
     _require(a, spec.n, "fuzzy")
-    value, _, _ = _fuzzy_detail(spec, lambda p: fuzzy_part_value(p, a))
-    return value
+    values = [fuzzy_part_value(p, a) for p in spec.shaded_parts()]
+    if not values:
+        return FuzzyValue(0.0, 1.0)
+    return values[0] if len(values) == 1 else fuzzy_disj_disjoint(values)
 
 
 def neutro_part_value(
@@ -151,9 +178,7 @@ def neutro_part_value(
 
 
 def _neutro_detail(
-    spec: OperatorSpec,
-    a: Assignment,
-    part_value: Callable[[Part], NeutrosophicValue],
+    spec: OperatorSpec, a: Assignment, columns: Columns
 ) -> tuple[NeutrosophicValue, str, float | None]:
     full = spec.full_mask
     if spec.shaded == 0:
@@ -168,25 +193,18 @@ def _neutro_detail(
             return a.values[i], f"projection {a.names[i]}", None
         if spec.shaded == full ^ projection:
             return neutro_neg(a.values[i]), f"complement {a.names[i]}", None
-    shaded_parts = spec.shaded_parts()
-    other_parts = complement(spec).shaded_parts()
-    use_complement = len(other_parts) < len(shaded_parts)
-    if len(other_parts) == len(shaded_parts) and shaded_parts[0].mask == 0:
-        # tie: prefer the side without the all-negated region
-        use_complement = True
-    side = other_parts if use_complement else shaded_parts
-    tau = None
-    if len(side) == 1:
-        value = part_value(side[0])
-        word = "negated part" if use_complement else "part"
-        strategy = f"{word} {side[0].label()}"
-    else:
-        tau = diagram_norm(a)
-        value = neutro_disj_disjoint([part_value(p) for p in side], tau)
-        word = "negated union" if use_complement else "union"
-        strategy = f"{word} " + "+".join(p.label() for p in side)
+    count = spec.shaded.bit_count()
+    # on a tie, prefer the side without the all-negated part 0
+    use_complement = 2 * count > spec.part_count or (
+        2 * count == spec.part_count and spec.shaded & 1
+    )
+    side = full ^ spec.shaded if use_complement else spec.shaded
+    tau = None if side & (side - 1) == 0 else diagram_norm(a)
+    value, strategy = _side_detail(
+        spec.n, side, columns, NeutrosophicValue, _neutro_disj_sums, tau
+    )
     if use_complement:
-        value = neutro_neg(value)
+        return neutro_neg(value), f"negated {strategy}", tau
     return value, strategy, tau
 
 
@@ -202,11 +220,12 @@ def neutro_operator_eval(
     complement is smaller (on a tie, the side without the all-negated part):
     one part evaluates directly, several parts combine through the disjoint
     disjunction with target norm equal to the product of the variable norms.
-    A complement-side result is negated on the way out.
+    A complement-side result is negated on the way out.  Every part is
+    valued by neutro_part_value first.
     """
     _require(a, spec.n, "neutrosophic")
-    value, _, _ = _neutro_detail(spec, a, lambda p: neutro_part_value(p, a, order))
-    return value
+    values = [neutro_part_value(p, a, order) for p in enumerate_parts(spec.n)]
+    return _neutro_detail(spec, a, _columns(values))[0]
 
 
 def oracle_expand(
@@ -229,7 +248,7 @@ def oracle_expand(
         ((Component.T, v.T), (Component.I, v.I), (Component.F, v.F)) for v in values
     ]
     buckets = {Component.T: 0.0, Component.I: 0.0, Component.F: 0.0}
-    for drawing in itertools.product(*choices):
+    for drawing in product(*choices):
         term = 1.0
         strongest = drawing[0][0]
         for comp, x in drawing:
@@ -274,17 +293,18 @@ def _neutro_part_oracle(part, a, order):
 class EvalReport:
     """Everything one operator evaluation produced.
 
-    part_values covers all 2^n parts in ascending mask order, shaded or not.
-    partition_residual measures how far the part values drift from the exact
-    partition identity: |sum of part truths - 1| for fuzzy assignments, the
-    worst |part norm - diagram norm| for three-component ones.  oracle_delta
-    is the largest componentwise gap against the brute-force recomputation,
-    or None when no cross-check was requested.
+    part_values covers all 2^n parts in ascending mask order, shaded or not,
+    as pairs built on access from part_values.columns.  partition_residual
+    measures how far the part values drift from the exact partition
+    identity: |sum of part truths - 1| for fuzzy assignments, the worst
+    |part norm - diagram norm| for three-component ones.  oracle_delta is the
+    largest componentwise gap against the brute-force recomputation, or None
+    when no cross-check was requested.
     """
 
     spec: OperatorSpec
     logic: str
-    part_values: tuple[tuple[Part, Value], ...]
+    part_values: PartValues
     aggregate: Value
     strategy: str
     tau: float | None
@@ -302,22 +322,23 @@ def _kron(pairs) -> list[float]:
     return out
 
 
-def _fuzzy_parts(a: Assignment, order: PrevalenceOrder) -> list[FuzzyValue]:
-    """Every part's fuzzy value: the truths of fuzzy_part_value, bit for
-    bit, and falsehood 1 - t."""
+def _fuzzy_parts(a: Assignment, order: PrevalenceOrder) -> list[list[float]]:
+    """Every part's fuzzy value as the columns t and f: the truths of
+    fuzzy_part_value, bit for bit, and falsehood 1 - t."""
     truths = _kron((1.0 - v.t, v.t) for v in a.values)
-    return [FuzzyValue.from_truth(t) for t in truths]
+    return [truths, list(map(sub, repeat(1.0), truths))]
 
 
-def _neutro_parts(a: Assignment, order: PrevalenceOrder) -> list[NeutrosophicValue]:
-    """Every part's three-component value, as neutro_part_value gives it.
+def _neutro_parts(a: Assignment, order: PrevalenceOrder) -> list[list[float]]:
+    """Columns T, I, F of every part's value, as neutro_part_value gives it.
 
     Under the order a < b < c, a part's conjunction credits bucket a with
     the terms drawn from class a alone, prod(a); bucket b with those drawn
     from a and b that hold a b, prod(a+b) - prod(a); and bucket c with the
     rest, tau - prod(a+b), where tau, the product of the variable norms, is
     the same for every part.  Each product is a Kronecker product over a
-    variable's (negated, member) sides.
+    variable's (negated, member) sides.  The differences get the value
+    type's check and clamp: rounding just below zero becomes 0.
     """
     def sides(c: Component) -> list[tuple[float, float]]:
         return [(getattr(neutro_neg(v), c.value), getattr(v, c.value)) for v in a.values]
@@ -326,33 +347,36 @@ def _neutro_parts(a: Assignment, order: PrevalenceOrder) -> list[NeutrosophicVal
     low = _kron(weak)
     both = _kron((w0 + m0, w1 + m1) for (w0, w1), (m0, m1) in zip(weak, middle))
     tau = diagram_norm(a)
-    rank_t, rank_i, rank_f = (order.rank(c) for c in Component)
-    values = []
-    for x, y in zip(low, both):
-        b = (x, y - x, tau - y)
-        values.append(NeutrosophicValue(b[rank_t], b[rank_i], b[rank_f]))
-    return values
+    buckets = (low, list(map(sub, both, low)), list(map(sub, repeat(tau), both)))
+    columns = [buckets[order.rank(c)] for c in Component]
+    if not all(-EPS_NORM <= min(c) and isfinite(sum(c)) for c in columns):
+        # raise the value type's error for the first part and component a
+        # per-part construction would reject
+        for value in zip(*columns):
+            NeutrosophicValue(*value)
+    return [[max(0.0, x) for x in c] if min(c) < 0.0 else c for c in columns]
 
 
-def _delta(x: Value, y: Value) -> float:
-    return max(abs(p - q) for p, q in zip(vars(x).values(), vars(y).values()))
+def _delta(x: Iterable[float], y: Iterable[float]) -> float:
+    return max(map(abs, map(sub, x, y)))
 
 
-def _neutro_residual(a: Assignment, values: Sequence[NeutrosophicValue]) -> float:
-    target = diagram_norm(a)
-    return max(abs(v.norm() - target) for v in values)
+def _neutro_residual(a: Assignment, columns: Columns) -> float:
+    t, i, f = columns
+    norms = map(add, map(add, t, i), f)
+    return max(map(abs, map(sub, norms, repeat(diagram_norm(a)))))
 
 
-# What evaluate_operator needs from each logic: all part values at once,
-# brute-force part value, aggregation route and partition residual.  Public
-# functions are looked up by their global names at call time, so rebinding a
-# module attribute (as tracing does) still reaches every call.
+# What evaluate_operator needs from each logic: all part value columns,
+# brute-force part value, aggregation route and partition residual.  The
+# brute-force routes look public functions up by their global names at call
+# time, so rebinding a module attribute (as tracing does) still reaches them.
 _LOGICS = {
     "fuzzy": (
         _fuzzy_parts,
         lambda p, a, order: _fuzzy_part_oracle(p, a),
-        lambda spec, a, part_value: _fuzzy_detail(spec, part_value),
-        lambda a, values: abs(fsum(v.t for v in values) - 1.0),
+        _fuzzy_detail,
+        lambda a, columns: abs(fsum(columns[0]) - 1.0),
     ),
     "neutrosophic": (
         _neutro_parts,
@@ -372,33 +396,34 @@ def evaluate_operator(
     """Evaluate a shaded operator and report per-part values, the aggregation
     strategy, and optional brute-force cross-check.
 
-    All 2^n part values come from one pass of O(2^n) multiplies: fuzzy
-    truths are the Kronecker product of the (1 - t_i, t_i) pairs, and
-    three-component values telescope the prevalence buckets out of two such
-    products.  fuzzy_part_value and neutro_part_value give the same values
-    one part at a time.  with_oracle recomputes every part by brute force,
-    independently of both; for three-component values that expands 3^n
-    terms per part, and a report whose 2^n * 3^n terms exceed
-    3^ORACLE_MAX_K raises OracleTooLarge before expanding any.
+    All 2^n part values come from O(2^n) multiplies into float columns
+    indexed by part mask: fuzzy truths are the Kronecker product of the
+    (1 - t_i, t_i) pairs, and three-component values telescope the
+    prevalence buckets out of two such products.  Aggregation sums column
+    entries; no Part or value object is built per part.  with_oracle
+    recomputes every part by brute force, independently of both; for
+    three-component values that expands 3^n terms per part, and a report
+    whose 2^n * 3^n terms exceed 3^ORACLE_MAX_K raises OracleTooLarge before
+    expanding any.
     """
-    all_parts = tuple(Part(spec.n, p) for p in range(spec.part_count))
     _require(a, spec.n, a.kind)
-    all_values, part_oracle, detail, residual = _LOGICS[a.kind]
-    values = all_values(a, order)
-    aggregate, strategy, tau = detail(spec, a, lambda p: values[p.mask])
+    part_columns, part_oracle, detail, residual = _LOGICS[a.kind]
+    columns = part_columns(a, order)
+    aggregate, strategy, tau = detail(spec, a, columns)
     oracle_delta = None
     if with_oracle:
-        expected = [part_oracle(p, a, order) for p in all_parts]
-        expected_agg, _, _ = detail(spec, a, lambda p: expected[p.mask])
-        oracle_delta = max(map(_delta, [aggregate, *values], [expected_agg, *expected]))
+        expected = _columns([part_oracle(p, a, order) for p in enumerate_parts(spec.n)])
+        got = [vars(aggregate).values(), *columns]
+        want = [vars(detail(spec, a, expected)[0]).values(), *expected]
+        oracle_delta = max(map(_delta, got, want))
     return EvalReport(
         spec=spec,
         logic=a.kind,
-        part_values=tuple(zip(all_parts, values)),
+        part_values=PartValues(spec.n, type(a.values[0]), columns),
         aggregate=aggregate,
         strategy=strategy,
         tau=tau,
-        partition_residual=residual(a, values),
+        partition_residual=residual(a, columns),
         oracle_delta=oracle_delta,
     )
 
@@ -463,11 +488,10 @@ def neutro_operator_table(
     """Evaluate the whole binary catalog under one assignment, annotating
     each row with the aggregation strategy it took."""
     _require(a, 2, "neutrosophic")
+    columns = _columns([neutro_part_value(p, a, order) for p in enumerate_parts(2)])
     rows = []
     for position, op in enumerate(knuth_registry()):
-        value, strategy, tau = _neutro_detail(
-            op.spec, a, lambda p: neutro_part_value(p, a, order)
-        )
+        value, strategy, tau = _neutro_detail(op.spec, a, columns)
         rows.append(
             NeutroOperatorRow(
                 row=position,

@@ -167,15 +167,21 @@ def fuzzy_disj_disjoint(values: Sequence[FuzzyValue]) -> FuzzyValue:
     meaningful for disjoint operands, which is exactly when the sum stays
     within 1; more than EPS_NORM beyond that raises DisjointnessViolation.
     """
-    if len(values) < 2:
+    return _fuzzy_disj_sums(
+        len(values), math.fsum(v.t for v in values), math.fsum(v.f for v in values)
+    )
+
+
+def _fuzzy_disj_sums(k: int, t: float, f: float) -> FuzzyValue:
+    """fuzzy_disj_disjoint from the operand count and the fsums of the
+    truths and of the falsehoods."""
+    if k < 2:
         raise DomainError("disjoint disjunction needs at least two operands")
-    t = math.fsum(v.t for v in values)
     if t > 1.0 + EPS_NORM:
         raise DisjointnessViolation(
             f"truth mass {t!r} exceeds 1, operands are not disjoint"
         )
-    f = math.fsum(v.f for v in values) - (len(values) - 1)
-    return FuzzyValue(t, f)
+    return FuzzyValue(t, f - (k - 1))
 
 
 def inclusion_exclusion(alphas: Sequence[float]) -> float:
@@ -280,11 +286,24 @@ def neutro_disj_disjoint(
     exactly tau.  When there is no indeterminacy or falsehood mass to rescale
     the result degenerates to (sum T, 0, 0).
     """
-    if len(values) < 2:
+    return _neutro_disj_sums(
+        len(values),
+        math.fsum(v.T for v in values),
+        math.fsum(v.I for v in values),
+        math.fsum(v.F for v in values),
+        tau,
+    )
+
+
+def _neutro_disj_sums(
+    k: int, t: float, rest_i: float, rest_f: float, tau: float
+) -> NeutrosophicValue:
+    """neutro_disj_disjoint from the operand count and the fsums of the
+    T, I and F components."""
+    if k < 2:
         raise DomainError("disjoint disjunction needs at least two operands")
     if not -EPS_NORM <= tau < math.inf:
         raise DomainError(f"target norm must be finite and nonnegative, got {tau!r}")
-    t = math.fsum(v.T for v in values)
     if t > 1.0 + EPS_NORM:
         raise DisjointnessViolation(
             f"truth mass {t!r} exceeds 1, operands are not disjoint"
@@ -293,8 +312,6 @@ def neutro_disj_disjoint(
         raise DisjointnessViolation(
             f"truth mass {t!r} exceeds the target norm {tau!r}"
         )
-    rest_i = math.fsum(v.I for v in values)
-    rest_f = math.fsum(v.F for v in values)
     den = rest_i + rest_f
     if den <= EPS_DEN:
         return NeutrosophicValue(t, 0.0, 0.0)

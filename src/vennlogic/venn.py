@@ -12,12 +12,17 @@ part p.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 
 from .errors import DomainError, LengthMismatch, TooManyVariables
 
 N_MAX = 20
+
+# One float list per value field (t, f or T, I, F), indexed by part mask.
+Columns = Sequence[Sequence[float]]
 
 
 def _check_n(n: int) -> None:
@@ -38,6 +43,30 @@ def projection_mask(n: int, i: int) -> int:
         mask |= mask << width
         width <<= 1
     return mask
+
+
+def part_labels(n: int) -> list[str]:
+    """Part.label() of every mask 0 .. 2^n - 1, in mask order, built by
+    doubling: the label of p | 1 << i is the label of p, the separator and
+    i + 1, except that the label of 1 << i is i + 1 alone."""
+    _check_n(n)
+    sep = "" if n <= 9 else "."
+    labels = ["0"]
+    for i in range(n):
+        tag = str(i + 1)
+        suffix = sep + tag
+        labels.append(tag)
+        labels += [x + suffix for x in labels[1:-1]]
+    return labels
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def mask_bits(n: int, mask: int) -> bytes:
+    """The 2^n bits of mask, lowest first, one 0 or 1 byte each: a selector
+    for itertools.compress over a column indexed by part mask."""
+    return bin(mask)[:1:-1].ljust(1 << n, "0").encode().translate(_BIT_BYTES)
 
 
 @dataclass(frozen=True)
@@ -92,6 +121,40 @@ class Part:
             mask |= 1 << (idx - 1)
             last = idx
         return cls(n, mask)
+
+
+class PartValues(Sequence):
+    """The (Part, value) pairs of all 2^n parts in ascending mask order,
+    built on access from the columns: make(*entries) turns the entries of
+    one mask into its value.  Holding columns instead of 2^n pairs keeps an
+    evaluation at O(2^n) floats."""
+
+    def __init__(self, n: int, make, columns: Columns):
+        self.n = n
+        self.columns = columns
+        self._make = make
+
+    def __len__(self) -> int:
+        return 1 << self.n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        p = range(len(self))[index]
+        return Part(self.n, p), self._make(*(c[p] for c in self.columns))
+
+    def __iter__(self):
+        parts = map(Part, repeat(self.n), range(len(self)))
+        return zip(parts, map(self._make, *self.columns))
+
+    # equal, and hashed, as the tuple of its pairs
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
 
 
 @dataclass(frozen=True)

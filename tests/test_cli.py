@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from vennlogic import cli
+from vennlogic import Part, cli, compile_expr, parse
 
 NEUTRO_ASSIGN = "x=0.5,0.3,0.2;y=0.4,0.4,0.2"
 
@@ -153,6 +153,22 @@ class TestEvalNeutrosophic:
         assert payload["aggregate"]["T"] == 0.18
 
 
+class TestEvalRows:
+    def test_dotted_labels_and_shaded_column(self, capsys):
+        names = [f"x{i}" for i in range(1, 11)]
+        assign = ";".join(f"{name}=0.{i}" for i, name in enumerate(names))
+        rc, out, _ = run(
+            capsys, "eval", "-e", "x1 & !x10 | x3", "-a", assign, "--format", "csv"
+        )
+        assert rc == 0
+        rows = [line.split(",") for line in out.splitlines()[1:-1]]
+        spec = compile_expr(parse("x1 & !x10 | x3"), names)
+        assert [r[0] for r in rows] == [Part(10, p).label() for p in range(1 << 10)]
+        assert [int(r[1]) for r in rows] == [
+            int(spec.is_shaded(p)) for p in range(1 << 10)
+        ]
+
+
 class TestEvalBoolean:
     def test_corners(self, capsys):
         payload = run_json(
@@ -254,6 +270,17 @@ class TestErrorPaths:
         assert rc == 3
         assert out == ""
         assert err.startswith("error:") and "budget" in err
+
+    def test_itf_truth_mass_is_numeric(self, capsys):
+        # under ITF the part truths of a normalized xor chain sum past 1
+        rc, out, err = run(
+            capsys, "eval", "-e", "x ^ y ^ z",
+            "-a", "x=0.5,0.3,0.2;y=0.4,0.4,0.2;z=0.6,0.3,0.1",
+            "--logic", "neutrosophic", "--order", "ITF",
+        )
+        assert (rc, out) == (3, "")
+        want = "error: truth mass 1.054 exceeds 1, operands are not disjoint\n"
+        assert err == want
 
     def test_bad_subcommand_usage(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -12,6 +12,7 @@ from vennlogic import (
     ArityMismatch,
     Assignment,
     Component,
+    DisjointnessViolation,
     DomainError,
     EvalReport,
     FuzzyValue,
@@ -28,6 +29,7 @@ from vennlogic import (
     fuzzy_part_value,
     knuth_registry,
     neutro_conj,
+    neutro_disj_disjoint,
     neutro_neg,
     neutro_operator_eval,
     neutro_operator_table,
@@ -403,4 +405,136 @@ class TestTables:
         with pytest.raises(ArityMismatch):
             neutro_operator_table(
                 Assignment.neutrosophic(("x",), ((0.5, 0.3, 0.2),))
+            )
+
+
+class TestValueColumns:
+    """evaluate_operator works on float columns indexed by part mask; Part
+    and value objects appear only when part_values is read."""
+
+    @staticmethod
+    def _count_parts(monkeypatch):
+        built = []
+        original = Part.__post_init__
+
+        def counting(self):
+            built.append(self.mask)
+            original(self)
+
+        monkeypatch.setattr(Part, "__post_init__", counting)
+        return built
+
+    @staticmethod
+    def _assignment(kind, n, seed):
+        rng = random.Random(seed)
+        if kind == "fuzzy":
+            return Assignment.fuzzy(_names(n), [rng.random() for _ in range(n)])
+        return Assignment.neutrosophic(_names(n), _triples(rng, n))
+
+    @pytest.mark.parametrize("kind", ["fuzzy", "neutrosophic"])
+    def test_xor_chain_at_twenty_variables(self, kind, monkeypatch):
+        a = self._assignment(kind, 20, 20)
+        spec = compile_expr(parse(" ^ ".join(_names(20))), _names(20))
+        built = self._count_parts(monkeypatch)
+        report = evaluate_operator(spec, a)
+        assert report.partition_residual <= 1e-9
+        assert report.strategy.startswith("union 1+2+3+")
+        assert report.strategy.count("+") == (1 << 19) - 1
+        assert built == []
+
+    @pytest.mark.parametrize("kind", ["fuzzy", "neutrosophic"])
+    def test_no_part_objects_at_sixteen_variables(self, kind, monkeypatch):
+        a = self._assignment(kind, 16, 16)
+        spec = OperatorSpec(16, random.Random(61).getrandbits(1 << 16))
+        built = self._count_parts(monkeypatch)
+        report = evaluate_operator(spec, a)
+        assert built == []
+        assert [p.mask for p, _ in report.part_values[:3]] == [0, 1, 2]
+        assert built == [0, 1, 2]
+
+    def test_part_values_view(self):
+        a = self._assignment("neutrosophic", 4, 4)
+        report = evaluate_operator(OperatorSpec(4, 0b0110_1001_1001_0110), a, TIF)
+        view = report.part_values
+        pairs = list(view)
+        assert len(view) == 16 and len(pairs) == 16
+        assert list(view) == pairs
+        assert view[0] == pairs[0] and view[5] == pairs[5]
+        assert view[-1] == pairs[15] and view[-16] == pairs[0]
+        assert view[2:8:3] == tuple(pairs[2:8:3])
+        with pytest.raises(IndexError):
+            view[16]
+        with pytest.raises(IndexError):
+            view[-17]
+        assert view == tuple(pairs) and tuple(pairs) == view
+        assert hash(view) == hash(tuple(pairs))
+        for part, value in pairs:
+            assert value == NeutrosophicValue(*(c[part.mask] for c in view.columns))
+
+    def test_telescoped_bucket_when_indeterminacy_is_tiny(self):
+        # prod(a+b) - prod(a) and tau - prod(a+b) cancel almost everything
+        # when I is nine orders below T
+        rng = random.Random(12)
+        triples = []
+        for _ in range(12):
+            t = rng.random()
+            triples.append((t, 1e-9 * t, rng.random() * (1.0 - t)))
+        a = Assignment.neutrosophic(_names(12), triples)
+        for order in ALL_ORDERS:
+            view = evaluate_operator(OperatorSpec(12, 0), a, order).part_values
+            for mask in rng.sample(range(1 << 12), 64):
+                want = neutro_part_value(Part(12, mask), a, order)
+                _close(view[mask][1], (want.T, want.I, want.F))
+
+    def test_column_route_raises_the_public_message(self):
+        # the ITF truth mass of a normalized xor chain exceeds 1; summing
+        # the columns must fail exactly as neutro_disj_disjoint does
+        a = Assignment.neutrosophic(
+            ("x", "y", "z"), ((0.5, 0.3, 0.2), (0.4, 0.4, 0.2), (0.6, 0.3, 0.1))
+        )
+        spec = compile_expr(parse("x ^ y ^ z"), ("x", "y", "z"))
+        columns = evaluate_operator(OperatorSpec(3, 0), a, ITF).part_values.columns
+        side = [NeutrosophicValue(*(c[p] for c in columns)) for p in (1, 2, 4, 7)]
+        with pytest.raises(DisjointnessViolation) as public:
+            neutro_disj_disjoint(side, diagram_norm(a))
+        with pytest.raises(DisjointnessViolation) as route:
+            evaluate_operator(spec, a, ITF)
+        assert str(route.value) == str(public.value)
+
+    def test_catalog_paths_value_parts_one_at_a_time(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(evaluate, name)
+            monkeypatch.setattr(
+                evaluate, name, lambda *args: calls.append(name) or original(*args)
+            )
+
+        counted("fuzzy_part_value")
+        counted("neutro_part_value")
+        for op in knuth_registry():
+            calls.clear()
+            fuzzy_operator_eval(op.spec, FUZZY_XY)
+            assert calls == ["fuzzy_part_value"] * op.spec.shaded_count()
+        calls.clear()
+        neutro_operator_table(NEUTRO_XY)
+        assert calls == ["neutro_part_value"] * 4
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            (((1e200, 0, 0), (1e200, 0, 0)), ("F", "inf", "F", "inf", "I", "nan")),
+            (((0, 1e200, 0), (0.5, 1e200, 0.5)), ("I", "inf", "T", "nan", "I", "inf")),
+            (((1e300, 1e300, 1e-300), (1e10, 1, 1)), ("F", "inf", "F", "inf", "I", "nan")),
+        ],
+    )
+    def test_overflowing_columns_raise_the_value_error(self, values, want):
+        # the first part and component a per-part construction would reject
+        a = Assignment(("x", "y"), tuple(NeutrosophicValue(*v) for v in values))
+        for k, order in enumerate((TIF, ITF, PrevalenceOrder.from_string("TFI"))):
+            channel, got = want[2 * k : 2 * k + 2]
+            with pytest.raises(DomainError) as info:
+                evaluate_operator(OperatorSpec(2, 0b0110), a, order)
+            assert str(info.value) == (
+                f"{channel} component must be finite and nonnegative, got {got}"
             )

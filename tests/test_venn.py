@@ -15,7 +15,7 @@ from vennlogic import (
     knuth_registry,
     operator_from_truth_table,
 )
-from vennlogic.venn import projection_mask
+from vennlogic.venn import mask_bits, part_labels, projection_mask
 
 # Classical two-variable connectives in the catalog's row order.  Kept as
 # plain lambdas so the check shares nothing with the library tables.
@@ -182,3 +182,24 @@ class TestRegistry:
         assert len(set(symbols)) == 16
         all_names = [name for op in ops for name in op.names]
         assert len(set(all_names)) == len(all_names)
+
+
+class TestPartColumns:
+    def test_part_labels_match_part_label(self):
+        # n = 10 and up use the dotted separator
+        for n in range(1, 13):
+            assert part_labels(n) == [Part(n, p).label() for p in range(1 << n)]
+
+    def test_part_labels_reject_bad_n(self):
+        with pytest.raises(DomainError):
+            part_labels(0)
+        with pytest.raises(TooManyVariables):
+            part_labels(21)
+
+    @given(st.integers(1, 6), st.data())
+    def test_mask_bits(self, n, data):
+        mask = data.draw(st.integers(0, (1 << (1 << n)) - 1))
+        spec = OperatorSpec(n, mask)
+        assert list(mask_bits(n, mask)) == [
+            int(spec.is_shaded(p)) for p in range(1 << n)
+        ]
