@@ -40,6 +40,7 @@ from .venn import (
 Value = FuzzyValue | NeutrosophicValue
 
 ORACLE_MAX_K = 12
+_ORACLE_TAIL = 7  # operands oracle_expand expands as lists
 
 
 @dataclass(frozen=True)
@@ -238,27 +239,41 @@ def oracle_expand(
     Every drawing contributes the product of its components to the bucket of
     its strongest class.  This shares no code with the subset-composition
     route, so the two must agree to float precision.
+
+    Drawings share their prefixes: the last (up to) seven operands expand one
+    at a time, each level extending the products of the level before, and
+    the leading operands stream through itertools.product, so memory stays
+    at 3^7 terms for any k.  Each term is still formed left to right from
+    1.0 and added to its bucket with a plain += in itertools.product order,
+    so every bucket is bit-identical to multiplying out and adding each
+    drawing on its own.
     """
     k = len(values)
     if k < 1:
         raise DomainError("oracle needs at least one operand")
     if k > max_k:
         raise OracleTooLarge(f"3^{k} terms exceed the budget of 3^{max_k}")
-    choices = [
-        ((Component.T, v.T), (Component.I, v.I), (Component.F, v.F)) for v in values
-    ]
-    buckets = {Component.T: 0.0, Component.I: 0.0, Component.F: 0.0}
-    for drawing in product(*choices):
+    ranks = [order.rank(c) for c in Component]
+    head, tail = values[:-_ORACLE_TAIL], values[-_ORACLE_TAIL:]
+    # strongest rank of every tail drawing, in product order
+    tail_ranks = [-1]
+    for _ in tail:
+        tail_ranks = [r if r > q else q for r in tail_ranks for q in ranks]
+    buckets = [0.0, 0.0, 0.0]  # indexed by rank
+    for drawing in product(*(tuple(zip((v.T, v.I, v.F), ranks)) for v in head)):
         term = 1.0
-        strongest = drawing[0][0]
-        for comp, x in drawing:
+        strongest = -1
+        for x, r in drawing:
             term *= x
-            if order.rank(comp) > order.rank(strongest):
-                strongest = comp
-        buckets[strongest] += term
-    return NeutrosophicValue(
-        buckets[Component.T], buckets[Component.I], buckets[Component.F]
-    )
+            if r > strongest:
+                strongest = r
+        terms = [term]
+        for v in tail:
+            xs = (v.T, v.I, v.F)
+            terms = [t * x for t in terms for x in xs]
+        for t, r in zip(terms, tail_ranks):
+            buckets[r if r > strongest else strongest] += t
+    return NeutrosophicValue(*(buckets[r] for r in ranks))
 
 
 def _fuzzy_part_oracle(part: Part, a: Assignment) -> FuzzyValue:
@@ -276,17 +291,21 @@ def _fuzzy_part_oracle(part: Part, a: Assignment) -> FuzzyValue:
     return FuzzyValue(truth, 1.0 - miss)
 
 
-def _neutro_part_oracle(part, a, order):
+def _neutro_oracle(
+    a: Assignment, order: PrevalenceOrder
+) -> list[NeutrosophicValue]:
     # the budget covers the whole report, all 2^n expansions of 3^n terms,
-    # so the first part refuses before anything is expanded
-    if 2 ** part.n * 3 ** part.n > 3 ** ORACLE_MAX_K:
+    # so it refuses before anything is expanded
+    n = len(a.values)
+    if 2 ** n * 3 ** n > 3 ** ORACLE_MAX_K:
         raise OracleTooLarge(
-            f"2^{part.n} parts of 3^{part.n} terms exceed the budget of 3^{ORACLE_MAX_K}"
+            f"2^{n} parts of 3^{n} terms exceed the budget of 3^{ORACLE_MAX_K}"
         )
-    operands = [
-        v if part.mask >> i & 1 else neutro_neg(v) for i, v in enumerate(a.values)
+    sides = [(neutro_neg(v), v) for v in a.values]
+    return [
+        oracle_expand([side[mask >> i & 1] for i, side in enumerate(sides)], order)
+        for mask in range(1 << n)
     ]
-    return oracle_expand(operands, order)
 
 
 @dataclass(frozen=True)
@@ -368,19 +387,22 @@ def _neutro_residual(a: Assignment, columns: Columns) -> float:
 
 
 # What evaluate_operator needs from each logic: all part value columns,
-# brute-force part value, aggregation route and partition residual.  The
-# brute-force routes look public functions up by their global names at call
-# time, so rebinding a module attribute (as tracing does) still reaches them.
+# brute-force values of all parts, aggregation route and partition residual.
+# The brute-force routes look public functions up by their global names at
+# call time, so rebinding a module attribute (as tracing does) still reaches
+# them.
 _LOGICS = {
     "fuzzy": (
         _fuzzy_parts,
-        lambda p, a, order: _fuzzy_part_oracle(p, a),
+        lambda a, order: [
+            _fuzzy_part_oracle(p, a) for p in enumerate_parts(len(a.values))
+        ],
         _fuzzy_detail,
         lambda a, columns: abs(fsum(columns[0]) - 1.0),
     ),
     "neutrosophic": (
         _neutro_parts,
-        _neutro_part_oracle,
+        _neutro_oracle,
         _neutro_detail,
         _neutro_residual,
     ),
@@ -412,7 +434,7 @@ def evaluate_operator(
     aggregate, strategy, tau = detail(spec, a, columns)
     oracle_delta = None
     if with_oracle:
-        expected = _columns([part_oracle(p, a, order) for p in enumerate_parts(spec.n)])
+        expected = _columns(part_oracle(a, order))
         got = [vars(aggregate).values(), *columns]
         want = [vars(detail(spec, a, expected)[0]).values(), *expected]
         oracle_delta = max(map(_delta, got, want))

@@ -260,6 +260,16 @@ class TestErrorPaths:
         payload = run_json(capsys, "codify", "-e", "(" * 100 + "x" + ")" * 100, "-v", "x")
         assert payload["index"] == 0b10
 
+    def test_oracle_at_budget_edge(self, capsys):
+        # n = 7 is the largest report the 3^12 budget admits
+        names = [f"x{i}" for i in range(7)]
+        assign = ";".join(f"{name}=0.5,0.3,0.2" for name in names)
+        payload = run_json(
+            capsys, "eval", "-e", " ^ ".join(names), "-a", assign,
+            "--logic", "neutrosophic", "--oracle",
+        )
+        assert payload["oracle_delta"] <= 1e-12
+
     def test_oracle_over_budget_is_numeric(self, capsys):
         names = [f"x{i}" for i in range(8)]
         assign = ";".join(f"{name}=0.5,0.3,0.2" for name in names)

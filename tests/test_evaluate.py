@@ -1,7 +1,8 @@
 """Tests for part valuation, operator evaluation, and the catalog tables."""
 
 import random
-from itertools import permutations
+import tracemalloc
+from itertools import permutations, product
 from math import fsum
 
 import pytest
@@ -295,6 +296,75 @@ class TestOracle:
             oracle_expand(values)
         with pytest.raises(DomainError):
             oracle_expand([])
+
+
+def _per_drawing_oracle(values, order):
+    # reference for oracle_expand: every drawing multiplied out on its own
+    # and credited by comparing class ranks, buckets summed in product order
+    choices = [
+        ((Component.T, v.T), (Component.I, v.I), (Component.F, v.F)) for v in values
+    ]
+    buckets = {Component.T: 0.0, Component.I: 0.0, Component.F: 0.0}
+    for drawing in product(*choices):
+        term = 1.0
+        strongest = drawing[0][0]
+        for comp, x in drawing:
+            term *= x
+            if order.rank(comp) > order.rank(strongest):
+                strongest = comp
+        buckets[strongest] += term
+    return NeutrosophicValue(
+        buckets[Component.T], buckets[Component.I], buckets[Component.F]
+    )
+
+
+class TestOracleExpansion:
+    """oracle_expand shares drawing prefixes and streams the leading
+    operands; its buckets must still match the per-drawing loop bit for
+    bit."""
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_bit_identical_to_per_drawing_loop(self, k):
+        rng = random.Random(7000 + k)
+        for _ in range(3 if k < 8 else 1):
+            values = [
+                NeutrosophicValue(rng.random(), rng.random(), rng.random())
+                for _ in range(k)
+            ]
+            for order in ALL_ORDERS:
+                got = oracle_expand(values, order)
+                want = _per_drawing_oracle(values, order)
+                assert [x.hex() for x in (got.T, got.I, got.F)] == [
+                    x.hex() for x in (want.T, want.I, want.F)
+                ], (k, str(order))
+
+    def test_memory_bounded(self):
+        # listing all 3^10 terms peaks at about 3 MB
+        values = [NeutrosophicValue(0.5, 0.3, 0.2)] * 10
+        tracemalloc.start()
+        try:
+            oracle_expand(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_one_call_per_part(self, monkeypatch):
+        # the traced benchmark counts calls and 3^k terms through the module
+        # global, so the report expands each part once with all n operands
+        sizes = []
+        expand = evaluate.oracle_expand
+
+        def counting(values, *args, **kwargs):
+            sizes.append(len(values))
+            return expand(values, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "oracle_expand", counting)
+        a = Assignment.neutrosophic(_names(6), _triples(random.Random(66), 6))
+        spec = compile_expr(parse(" ^ ".join(_names(6))), _names(6))
+        report = evaluate_operator(spec, a, with_oracle=True)
+        assert sizes == [6] * 64
+        assert report.oracle_delta <= 1e-12
 
 
 class TestEvaluateOperator:
