@@ -45,7 +45,7 @@ from .evaluate import (
 )
 from .expr import compile_expr, parse
 from .logic_core import FuzzyValue, PrevalenceOrder
-from .venn import OperatorSpec, mask_bits, part_labels
+from .venn import mask_bits, part_labels
 
 DEFAULT_TABLE2_ASSIGN = "x=0.5,0.3,0.2;y=0.4,0.4,0.2"
 
@@ -179,18 +179,9 @@ def _ordered_assignment(a: Assignment, var_names) -> Assignment:
     return Assignment(tuple(var_names), tuple(lookup[n] for n in var_names))
 
 
-def _compile(text: str, names) -> OperatorSpec:
-    """Parse and compile; a formula nested too deeply for the recursive
-    parser and compiler is a usage error, not a crash."""
-    try:
-        return compile_expr(parse(text), names)
-    except RecursionError:
-        raise ParseError("expression nested too deeply", 0) from None
-
-
 def cmd_codify(args) -> int:
     names = _parse_vars(args.vars)
-    spec = _compile(args.expr, names)
+    spec = compile_expr(parse(args.expr), names)
     shaded = mask_bits(spec.n, spec.shaded)
     labels = list(compress(part_labels(spec.n), shaded))
     masks = list(compress(range(spec.part_count), shaded))
@@ -222,7 +213,7 @@ def cmd_eval(args) -> int:
     assignment = _parse_assignment(args.assign, args.logic)
     names = _parse_vars(args.vars) if args.vars else assignment.names
     assignment = _ordered_assignment(assignment, names)
-    spec = _compile(args.expr, names)
+    spec = compile_expr(parse(args.expr), names)
     order = PrevalenceOrder.from_string(args.order)
     report = evaluate_operator(spec, assignment, order=order, with_oracle=args.oracle)
     fields = tuple(vars(report.aggregate))

@@ -4,7 +4,7 @@ expansion oracle."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress, product, repeat
 from math import fsum, isfinite, prod
@@ -131,7 +131,8 @@ def _columns(values: Sequence[Value]) -> list[list[float]]:
 
 def _side_detail(n: int, side: int, columns: Columns, make, disjoin, *args):
     """Value and strategy of the parts set in side: one part is make(*its
-    column entries), several are disjoin(count, *column fsums, *args)."""
+    column entries), several are disjoin(count, *column fsums, *args).  Only
+    the column entries of those parts are read."""
     bits = mask_bits(n, side)
     labels = "+".join(compress(part_labels(n), bits))
     if side & (side - 1) == 0:
@@ -141,13 +142,15 @@ def _side_detail(n: int, side: int, columns: Columns, make, disjoin, *args):
     return disjoin(side.bit_count(), *sums, *args), f"union {labels}"
 
 
+# The detail functions take side_columns: side_columns(side) returns value
+# columns whose entries are right at least for the parts set in side.
 def _fuzzy_detail(
-    spec: OperatorSpec, a: Assignment, columns: Columns
+    spec: OperatorSpec, a: Assignment, side_columns: Callable[[int], Columns]
 ) -> tuple[FuzzyValue, str, None]:
     if spec.shaded == 0:
         return FuzzyValue(0.0, 1.0), "empty", None
     value, strategy = _side_detail(
-        spec.n, spec.shaded, columns, FuzzyValue, _fuzzy_disj_sums
+        spec.n, spec.shaded, side_columns(spec.shaded), FuzzyValue, _fuzzy_disj_sums
     )
     return value, strategy, None
 
@@ -179,7 +182,7 @@ def neutro_part_value(
 
 
 def _neutro_detail(
-    spec: OperatorSpec, a: Assignment, columns: Columns
+    spec: OperatorSpec, a: Assignment, side_columns: Callable[[int], Columns]
 ) -> tuple[NeutrosophicValue, str, float | None]:
     full = spec.full_mask
     if spec.shaded == 0:
@@ -202,7 +205,7 @@ def _neutro_detail(
     side = full ^ spec.shaded if use_complement else spec.shaded
     tau = None if side & (side - 1) == 0 else diagram_norm(a)
     value, strategy = _side_detail(
-        spec.n, side, columns, NeutrosophicValue, _neutro_disj_sums, tau
+        spec.n, side, side_columns(side), NeutrosophicValue, _neutro_disj_sums, tau
     )
     if use_complement:
         return neutro_neg(value), f"negated {strategy}", tau
@@ -221,12 +224,21 @@ def neutro_operator_eval(
     complement is smaller (on a tie, the side without the all-negated part):
     one part evaluates directly, several parts combine through the disjoint
     disjunction with target norm equal to the product of the variable norms.
-    A complement-side result is negated on the way out.  Every part is
-    valued by neutro_part_value first.
+    A complement-side result is negated on the way out.  Only the parts of
+    the aggregated side are valued, each by neutro_part_value; the empty,
+    full and literal operators value none.
     """
     _require(a, spec.n, "neutrosophic")
-    values = [neutro_part_value(p, a, order) for p in enumerate_parts(spec.n)]
-    return _neutro_detail(spec, a, _columns(values))[0]
+
+    def side_columns(side: int) -> Columns:
+        columns = [[0.0] * spec.part_count for _ in Component]
+        for part in OperatorSpec(spec.n, side).shaded_parts():
+            value = neutro_part_value(part, a, order)
+            for column, x in zip(columns, vars(value).values()):
+                column[part.mask] = x
+        return columns
+
+    return _neutro_detail(spec, a, side_columns)[0]
 
 
 def oracle_expand(
@@ -431,12 +443,12 @@ def evaluate_operator(
     _require(a, spec.n, a.kind)
     part_columns, part_oracle, detail, residual = _LOGICS[a.kind]
     columns = part_columns(a, order)
-    aggregate, strategy, tau = detail(spec, a, columns)
+    aggregate, strategy, tau = detail(spec, a, lambda side: columns)
     oracle_delta = None
     if with_oracle:
         expected = _columns(part_oracle(a, order))
         got = [vars(aggregate).values(), *columns]
-        want = [vars(detail(spec, a, expected)[0]).values(), *expected]
+        want = [vars(detail(spec, a, lambda side: expected)[0]).values(), *expected]
         oracle_delta = max(map(_delta, got, want))
     return EvalReport(
         spec=spec,
@@ -513,7 +525,7 @@ def neutro_operator_table(
     columns = _columns([neutro_part_value(p, a, order) for p in enumerate_parts(2)])
     rows = []
     for position, op in enumerate(knuth_registry()):
-        value, strategy, tau = _neutro_detail(op.spec, a, columns)
+        value, strategy, tau = _neutro_detail(op.spec, a, lambda side: columns)
         rows.append(
             NeutroOperatorRow(
                 row=position,

@@ -13,11 +13,20 @@ Grammar, loosest to tightest binding::
 NAME matches [A-Za-z_][A-Za-z0-9_]* and may not collide with a keyword token.
 render() is the canonical printer and parse(render(e)) rebuilds e node for
 node.
+
+Nothing here recurses.  The tokenizer is one regular expression, parse()
+is operator-precedence (shunting-yard) parsing over explicit operand and
+operator stacks, and render(), variables(), evaluate_bool() and
+compile_expr() walk the tree with explicit stacks, so formula depth is
+bounded by memory, not by the interpreter's recursion limit.  The
+dataclass-generated ==, hash and repr of the nodes do still recurse, so
+compare very deep trees by their render() text.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -78,184 +87,62 @@ class BinOp(Expr):
             raise DomainError(f"unknown connective {self.op!r}")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str      # "op", "not", "const", "name", "(", ")", "end"
-    value: object
-    pos: int
-
-
-_KEYWORD_TOKENS = {
-    "and": ("op", "and"),
-    "or": ("op", "or"),
-    "xor": ("op", "xor"),
-    "implies": ("op", "implies"),
-    "iff": ("op", "iff"),
-    "nand": ("op", "nand"),
-    "nor": ("op", "nor"),
-    "not": ("not", None),
-    "true": ("const", True),
-    "false": ("const", False),
+# the spellings of each connective; the first is the one render() prints
+_SPELLINGS = {
+    "and": ("&", "and"),
+    "or": ("|", "or"),
+    "xor": ("^", "xor"),
+    "implies": ("->", "implies"),
+    "rev_implies": ("<-",),
+    "iff": ("<->", "iff"),
+    "nand": ("!and", "nand"),
+    "nor": ("!or", "nor"),
+    "nonimplies": ("!->",),
+    "rev_nonimplies": ("!<-",),
 }
 
-# longest first so "<->" wins over "<-" and "!->" over "!"
-_SYMBOL_OPS = (
-    ("<->", "iff"),
-    ("!->", "nonimplies"),
-    ("!<-", "rev_nonimplies"),
-    ("->", "implies"),
-    ("<-", "rev_implies"),
-    ("^", "xor"),
-    ("&", "and"),
-    ("|", "or"),
+# token text -> (kind, value) for the kinds "op", "not", "const", "(" and
+# ")"; any other text is a name, a number or a stray character
+_TOKENS = {
+    **{text: ("op", op) for op, texts in _SPELLINGS.items() for text in texts},
+    **dict.fromkeys(("!", "~", "not"), ("not", None)),
+    **dict.fromkeys(("1", "true"), ("const", True)),
+    **dict.fromkeys(("0", "false"), ("const", False)),
+    "(": ("(", None),
+    ")": (")", None),
+}
+_OTHER = ("other", None)
+
+# The tokenizer: findall gives every token's text, skipping whitespace.  The
+# alternatives are tried in order: names and keywords, numbers, "!and"/"!or"
+# as words, the symbols longest first (so "<->" beats "<-" and "!->" beats
+# "!"), and last any other single character.
+_TOKEN_RE = re.compile(
+    r"\s*([A-Za-z_][A-Za-z0-9_]*|[0-9]+|!and\b|!or\b|<->|!->|!<-|->|<-|\S)"
 )
 
-_NUM_RE = re.compile(r"[0-9]+")
-_NOT_WORD_RE = re.compile(r"!(and|or)\b")
 
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, limit = 0, len(source)
-    while i < limit:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NAME_RE.match(source, i)
-        if m:
-            word = m.group()
-            kind, value = _KEYWORD_TOKENS.get(word, ("name", word))
-            if kind == "name":
-                value = word
-            tokens.append(_Token(kind, value, i))
-            i = m.end()
-            continue
-        m = _NUM_RE.match(source, i)
-        if m:
-            if m.group() not in ("0", "1"):
-                raise ParseError(
-                    f"unexpected number {m.group()!r}", i, {"'0'", "'1'"}
-                )
-            tokens.append(_Token("const", m.group() == "1", i))
-            i = m.end()
-            continue
-        m = _NOT_WORD_RE.match(source, i)
-        if m:
-            tokens.append(_Token("op", "nand" if m.group(1) == "and" else "nor", i))
-            i = m.end()
-            continue
-        for text, op in _SYMBOL_OPS:
-            if source.startswith(text, i):
-                tokens.append(_Token("op", op, i))
-                i += len(text)
-                break
-        else:
-            if ch == "(" or ch == ")":
-                tokens.append(_Token(ch, ch, i))
-            elif ch == "!" or ch == "~":
-                tokens.append(_Token("not", None, i))
+def _syntax_error(
+    source: str, texts: list[str], index: int, message: str, expected
+) -> ParseError:
+    """The error for token index (len(texts) is the end of input), unless a
+    stray character or a number other than 0 or 1 comes anywhere in the
+    text: the first of those outranks any grammar error.  Offsets are found
+    again only here, so the parse itself never tracks them."""
+    for i, text in enumerate(texts):
+        if text not in _TOKENS and not _NAME_RE.match(text):
+            index = i
+            if "0" <= text[0] <= "9":
+                message, expected = f"unexpected number {text!r}", {"'0'", "'1'"}
             else:
-                raise ParseError(
-                    f"unexpected character {ch!r}",
-                    i,
-                    {"variable", "constant", "operator", "'('", "')'"},
-                )
-            i += 1
-    tokens.append(_Token("end", None, limit))
-    return tokens
-
-
-_LEVEL_IFF = frozenset(("iff", "xor"))
-_LEVEL_IMPL = frozenset(("implies", "rev_implies", "nonimplies", "rev_nonimplies"))
-_LEVEL_OR = frozenset(("or", "nor"))
-_LEVEL_AND = frozenset(("and", "nand"))
-
-_ATOM_EXPECTED = frozenset(("variable", "constant", "'('", "'!'"))
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def at_op(self, level: frozenset) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.value in level
-
-    def parse_expr(self) -> Expr:
-        left = self.parse_impl()
-        while self.at_op(_LEVEL_IFF):
-            op = self.advance().value
-            left = BinOp(op, left, self.parse_impl())
-        return left
-
-    def parse_impl(self) -> Expr:
-        left = self.parse_union()
-        while self.at_op(_LEVEL_IMPL):
-            op = self.advance().value
-            if op == "implies":
-                return BinOp(op, left, self.parse_impl())
-            left = BinOp(op, left, self.parse_union())
-        return left
-
-    def parse_union(self) -> Expr:
-        left = self.parse_inter()
-        while self.at_op(_LEVEL_OR):
-            op = self.advance().value
-            left = BinOp(op, left, self.parse_inter())
-        return left
-
-    def parse_inter(self) -> Expr:
-        left = self.parse_unary()
-        while self.at_op(_LEVEL_AND):
-            op = self.advance().value
-            left = BinOp(op, left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "not":
-            self.advance()
-            return Not(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "name":
-            return Var(tok.value)
-        if tok.kind == "const":
-            return Const(tok.value)
-        if tok.kind == "(":
-            inner = self.parse_expr()
-            closer = self.advance()
-            if closer.kind != ")":
-                raise ParseError("unclosed group", closer.pos, {"')'"})
-            return inner
-        raise ParseError("expected an operand", tok.pos, _ATOM_EXPECTED)
-
-
-def parse(source: str) -> Expr:
-    """Parse source text into a formula tree."""
-    tokens = _tokenize(source)
-    if tokens[0].kind == "end":
-        raise ParseError("empty expression", 0, _ATOM_EXPECTED)
-    parser = _Parser(tokens)
-    node = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(
-            "unexpected trailing input", tail.pos, {"binary operator", "end of input"}
-        )
-    return node
+                message = f"unexpected character {text!r}"
+                expected = {"variable", "constant", "operator", "'('", "')'"}
+            break
+    if index == len(texts):
+        offset = len(source)
+    else:
+        offset = next(islice(_TOKEN_RE.finditer(source), index, None)).start(1)
+    return ParseError(message, offset, expected)
 
 
 _PREC = {
@@ -273,18 +160,93 @@ _PREC = {
 _NOT_PREC = 5
 _ATOM_PREC = 6
 
-_OP_TEXT = {
-    "and": "&",
-    "or": "|",
-    "xor": "^",
-    "implies": "->",
-    "rev_implies": "<-",
-    "iff": "<->",
-    "nand": "!and",
-    "nor": "!or",
-    "nonimplies": "!->",
-    "rev_nonimplies": "!<-",
-}
+# How tightly an operator on the stack holds its operands: an incoming
+# operator of level p first reduces every stacked one with a binding of at
+# least p.  A stacked "->" yields only to a looser level, so everything after
+# it at its own level becomes its right operand; the bottom sentinel "" and
+# an open "(" yield to nothing.
+_BINDING = {**_PREC, "implies": 1.5, "": 0, "(": 0}
+
+_ATOM_EXPECTED = frozenset(("variable", "constant", "'('", "'!'"))
+
+
+def _reduce(operands: list, ops: list, binding: float) -> None:
+    """Fold the stacked operators that bind at least as tightly as binding."""
+    while _BINDING[ops[-1]] >= binding:
+        right = operands.pop()
+        operands[-1] = BinOp(ops.pop(), operands[-1], right)
+
+
+def parse(source: str) -> Expr:
+    """Parse source text into a formula tree."""
+    texts = _TOKEN_RE.findall(source)
+    if not texts:
+        raise ParseError("empty expression", 0, _ATOM_EXPECTED)
+    names: dict[str, Var] = {}
+    operands: list[Expr] = []
+    ops = [""]  # connectives, "(" and "not" markers, over a bottom sentinel
+    depth = 0  # open groups
+    want_operand = True
+    for i, text in enumerate(texts):
+        kind, value = _TOKENS.get(text, _OTHER)
+        if want_operand:
+            if text in names:
+                node = names[text]
+            elif kind == "other" and _NAME_RE.match(text):
+                node = names[text] = Var(text)
+            elif kind == "const":
+                node = Const(value)
+            elif kind == "not":
+                ops.append("not")
+                continue
+            elif kind == "(":
+                ops.append("(")
+                depth += 1
+                continue
+            else:
+                raise _syntax_error(
+                    source, texts, i, "expected an operand", _ATOM_EXPECTED
+                )
+        elif kind == "op":
+            _reduce(operands, ops, _PREC[value])
+            ops.append(value)
+            want_operand = True
+            continue
+        elif kind == ")" and depth:
+            _reduce(operands, ops, 1)  # every connective back to the "("
+            ops.pop()
+            depth -= 1
+            node = operands.pop()
+        elif depth:
+            raise _syntax_error(source, texts, i, "unclosed group", {"')'"})
+        else:
+            raise _syntax_error(
+                source, texts, i, "unexpected trailing input",
+                {"binary operator", "end of input"},
+            )
+        # an operand is complete: the negations stacked right before it apply
+        while ops[-1] == "not":
+            ops.pop()
+            node = Not(node)
+        operands.append(node)
+        want_operand = False
+    end = len(texts)
+    if want_operand:
+        raise _syntax_error(source, texts, end, "expected an operand", _ATOM_EXPECTED)
+    if depth:
+        raise _syntax_error(source, texts, end, "unclosed group", {"')'"})
+    _reduce(operands, ops, 1)
+    return operands[0]
+
+
+def _prec(e: Expr) -> int:
+    if isinstance(e, (Var, Const)):
+        return _ATOM_PREC
+    if isinstance(e, Not):
+        return _NOT_PREC
+    if isinstance(e, BinOp):
+        return _PREC[e.op]
+    raise DomainError(f"not a formula node: {e!r}")
 
 
 def render(e: Expr) -> str:
@@ -294,68 +256,81 @@ def render(e: Expr) -> str:
     association side with the same connective, so mixed chains like
     (a -> b) <- c never round-trip into a different tree.
     """
-    text, _ = _render(e)
-    return text
+    pieces = []
+    # strings to emit, or (node, lowest precedence it may show bare, the
+    # connective it may show bare at the parent's level on this side)
+    stack: list = [(e, 0, None)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        node, bare_prec, bare_op = item
+        prec = _prec(node)
+        if prec < bare_prec and not (isinstance(node, BinOp) and node.op == bare_op):
+            pieces.append("(")
+            stack.append(")")
+        if isinstance(node, Var):
+            pieces.append(node.name)
+        elif isinstance(node, Const):
+            pieces.append("1" if node.value else "0")
+        elif isinstance(node, Not):
+            pieces.append("!")
+            stack.append((node.child, _NOT_PREC, None))
+        else:
+            # a same-connective child stays bare on the side it associates to
+            left, right = (None, node.op) if node.op == "implies" else (node.op, None)
+            stack.append((node.right, prec + 1, right))
+            stack.append(f" {_SPELLINGS[node.op][0]} ")
+            stack.append((node.left, prec + 1, left))
+    return "".join(pieces)
 
 
-def _render(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Var):
-        return e.name, _ATOM_PREC
-    if isinstance(e, Const):
-        return ("1" if e.value else "0"), _ATOM_PREC
-    if isinstance(e, Not):
-        text, prec = _render(e.child)
-        if prec < _NOT_PREC:
-            text = f"({text})"
-        return f"!{text}", _NOT_PREC
-    if isinstance(e, BinOp):
-        left = _render_child(e.left, e, "left")
-        right = _render_child(e.right, e, "right")
-        return f"{left} {_OP_TEXT[e.op]} {right}", _PREC[e.op]
-    raise DomainError(f"not a formula node: {e!r}")
-
-
-def _render_child(child: Expr, parent: BinOp, side: str) -> str:
-    text, child_prec = _render(child)
-    parent_prec = _PREC[parent.op]
-    if child_prec > parent_prec:
-        return text
-    if child_prec == parent_prec and isinstance(child, BinOp) and child.op == parent.op:
-        natural = "right" if parent.op == "implies" else "left"
-        if side == natural:
-            return text
-    return f"({text})"
+def _postorder(e: Expr) -> list:
+    """The nodes of e, each child before its parent and left before right."""
+    stack, order = [e], []
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, BinOp):
+            stack.append(node.left)
+            stack.append(node.right)
+        elif isinstance(node, Not):
+            stack.append(node.child)
+    order.reverse()
+    return order
 
 
 def variables(e: Expr) -> set[str]:
     """Names referenced anywhere in the formula."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Not):
-        return variables(e.child)
-    if isinstance(e, BinOp):
-        return variables(e.left) | variables(e.right)
-    raise DomainError(f"not a formula node: {e!r}")
+    names = set()
+    for node in _postorder(e):
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif not isinstance(node, (Const, Not, BinOp)):
+            raise DomainError(f"not a formula node: {node!r}")
+    return names
 
 
 def evaluate_bool(e: Expr, env: Mapping[str, bool]) -> bool:
     """Classical evaluation under a name -> bool environment."""
-    if isinstance(e, Var):
-        try:
-            return bool(env[e.name])
-        except KeyError:
-            raise UnknownVariable(f"unknown variable: {e.name}") from None
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Not):
-        return not evaluate_bool(e.child, env)
-    if isinstance(e, BinOp):
-        return BOOL_OPS[e.op](
-            evaluate_bool(e.left, env), evaluate_bool(e.right, env)
-        )
-    raise DomainError(f"not a formula node: {e!r}")
+    values = []
+    for node in _postorder(e):
+        if isinstance(node, Var):
+            try:
+                values.append(bool(env[node.name]))
+            except KeyError:
+                raise UnknownVariable(f"unknown variable: {node.name}") from None
+        elif isinstance(node, Const):
+            values.append(node.value)
+        elif isinstance(node, Not):
+            values[-1] = not values[-1]
+        elif isinstance(node, BinOp):
+            right = values.pop()
+            values[-1] = BOOL_OPS[node.op](values[-1], right)
+        else:
+            raise DomainError(f"not a formula node: {node!r}")
+    return values[0]
 
 
 # The connectives on 2^n-bit truth tables: bit p of each operand is its
@@ -372,20 +347,6 @@ _BIT_OPS: dict[str, Callable[[int, int, int], int]] = {
     "nonimplies": lambda a, b, full: a & (full ^ b),
     "rev_nonimplies": lambda a, b, full: (full ^ a) & b,
 }
-
-
-def _truth_table(e: Expr, masks: Mapping[str, int], full: int) -> int:
-    if isinstance(e, Var):
-        return masks[e.name]
-    if isinstance(e, Const):
-        return full if e.value else 0
-    if isinstance(e, Not):
-        return full ^ _truth_table(e.child, masks, full)
-    if isinstance(e, BinOp):
-        return _BIT_OPS[e.op](
-            _truth_table(e.left, masks, full), _truth_table(e.right, masks, full), full
-        )
-    raise DomainError(f"not a formula node: {e!r}")
 
 
 def compile_expr(e: Expr, var_names: Sequence[str]) -> OperatorSpec:
@@ -407,11 +368,29 @@ def compile_expr(e: Expr, var_names: Sequence[str]) -> OperatorSpec:
     if len(set(names)) != len(names):
         raise DomainError("duplicate variable names")
     _check_n(len(names))
-    missing = variables(e) - set(names)
+    n = len(names)
+    masks = {name: projection_mask(n, i) for i, name in enumerate(names)}
+    full = (1 << (1 << n)) - 1
+    missing = set()
+    values = []
+    for node in _postorder(e):
+        if isinstance(node, Var):
+            mask = masks.get(node.name)
+            if mask is None:
+                missing.add(node.name)
+                mask = 0
+            values.append(mask)
+        elif isinstance(node, Const):
+            values.append(full if node.value else 0)
+        elif isinstance(node, Not):
+            values[-1] ^= full
+        elif isinstance(node, BinOp):
+            right = values.pop()
+            values[-1] = _BIT_OPS[node.op](values[-1], right, full)
+        else:
+            raise DomainError(f"not a formula node: {node!r}")
     if missing:
         raise UnknownVariable(
             "unknown variable(s): " + ", ".join(sorted(missing))
         )
-    n = len(names)
-    masks = {name: projection_mask(n, i) for i, name in enumerate(names)}
-    return OperatorSpec(n, _truth_table(e, masks, (1 << (1 << n)) - 1))
+    return OperatorSpec(n, values[0])

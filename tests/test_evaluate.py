@@ -22,8 +22,10 @@ from vennlogic import (
     OracleTooLarge,
     Part,
     PrevalenceOrder,
+    TFI,
     compile_expr,
     diagram_norm,
+    enumerate_parts,
     evaluate_operator,
     fuzzy_operator_eval,
     fuzzy_operator_table,
@@ -39,7 +41,7 @@ from vennlogic import (
     parse,
 )
 from vennlogic import evaluate
-from vennlogic.evaluate import _neutro_detail
+from vennlogic.evaluate import _columns, _neutro_detail
 
 FUZZY_XY = Assignment.fuzzy(("x", "y"), (0.6, 0.3))
 NEUTRO_XY = Assignment.neutrosophic(
@@ -262,8 +264,8 @@ class TestNeutroOperators:
             names, [(rng.random(), rng.random(), rng.random()) for _ in names]
         )
 
-        def no_parts(part):
-            raise AssertionError(f"part {part.label()} valued")
+        def no_parts(side):
+            raise AssertionError(f"parts {side:b} valued")
 
         for i, name in enumerate(names):
             spec = compile_expr(parse(name), names)
@@ -274,6 +276,43 @@ class TestNeutroOperators:
             assert _neutro_detail(spec, a, no_parts) == (
                 neutro_neg(a.values[i]), f"complement {name}", None
             )
+
+    def test_values_only_the_aggregated_side(self):
+        # the reference values every part first, as neutro_operator_eval
+        # once did; valuing only the summed side must not change a bit
+        def outcome(f, *args):
+            try:
+                return f(*args)
+            except DisjointnessViolation as exc:
+                return str(exc)
+
+        def every_part(spec, a, order):
+            columns = _columns([neutro_part_value(p, a, order) for p in enumerate_parts(spec.n)])
+            return _neutro_detail(spec, a, lambda side: columns)[0]
+
+        rng = random.Random(2048)
+        for n in range(1, 9):
+            for order in (TIF, ITF, TFI):
+                for _ in range(3):
+                    a = Assignment.neutrosophic(_names(n), _triples(rng, n))
+                    spec = OperatorSpec(n, rng.getrandbits(1 << n))
+                    assert outcome(neutro_operator_eval, spec, a, order) == outcome(
+                        every_part, spec, a, order
+                    ), (n, order.order, spec.shaded)
+
+    def test_literal_at_twelve_variables_values_no_part(self, monkeypatch):
+        calls = []
+        original = evaluate.neutro_part_value
+        monkeypatch.setattr(
+            evaluate, "neutro_part_value", lambda *args: calls.append(1) or original(*args)
+        )
+        names = _names(12)
+        a = Assignment.neutrosophic(names, _triples(random.Random(12), 12))
+        for text in ("x3", "!x3"):
+            neutro_operator_eval(compile_expr(parse(text), names), a)
+        assert calls == []
+        neutro_operator_eval(compile_expr(parse("x3 & x7"), names), a)
+        assert len(calls) == 1024
 
 
 class TestOracle:

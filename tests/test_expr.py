@@ -1,9 +1,12 @@
 """Parser, printer, and compiler tests for the formula surface syntax."""
 
 import random
+import re
+import time
+from dataclasses import dataclass
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vennlogic import (
@@ -22,13 +25,10 @@ from vennlogic import (
     render,
     variables,
 )
+from vennlogic.expr import Expr
 from vennlogic.venn import projection_mask
 
 x, y, z = Var("x"), Var("y"), Var("z")
-
-
-names = st.sampled_from(["x", "y", "z", "w"])
-leaves = st.one_of(names.map(Var), st.booleans().map(Const))
 
 
 def _extend(children):
@@ -38,7 +38,14 @@ def _extend(children):
     )
 
 
-asts = st.recursive(leaves, _extend, max_leaves=25)
+def _formulas(n):
+    names = [f"v{i}" for i in range(n)]
+    leaves = st.one_of(st.sampled_from(names).map(Var), st.booleans().map(Const))
+    return st.tuples(st.just(names), st.recursive(leaves, _extend, max_leaves=25))
+
+
+# (declared names, a formula over them) for 1 to 10 variables
+formulas = st.one_of([_formulas(n) for n in range(1, 11)])
 
 
 def _random_formula(rng, names, leaves):
@@ -190,8 +197,10 @@ class TestRender:
         assert render(parse("(x & y) | z")) == "x & y | z"
         assert render(parse("x -> (y -> z)")) == "x -> y -> z"
 
-    @given(asts)
-    def test_round_trip(self, e):
+    @settings(max_examples=150)
+    @given(formulas)
+    def test_round_trip(self, case):
+        _, e = case
         assert parse(render(e)) == e
 
 
@@ -277,10 +286,292 @@ class TestCompile:
         for p in rng.sample(range(1 << 20), 500):
             assert spec.is_shaded(p) == (p.bit_count() % 2 == 1)
 
-    @given(asts)
-    def test_shading_matches_corner_evaluation(self, e):
-        order = ["x", "y", "z", "w"]
+    @settings(max_examples=80, deadline=None)
+    @given(formulas)
+    def test_shading_matches_corner_evaluation(self, case):
+        order, e = case
         spec = compile_expr(e, order)
-        for p in range(16):
+        for p in range(1 << len(order)):
             env = {name: bool(p >> i & 1) for i, name in enumerate(order)}
             assert spec.is_shaded(p) == evaluate_bool(e, env)
+
+
+DEEP = 100_000
+NEGATIONS = "!" * DEEP + "x"
+AND_CHAIN = " & ".join(["x", "y"] * (DEEP // 2))
+IMPLIES_CHAIN = " -> ".join(["y"] * DEEP)
+
+
+class TestDeepFormulas:
+    """Nothing in expr.py recurses, so depth is bounded by memory alone.
+    Trees this deep are compared through render(), because the
+    dataclass-generated ==, hash and repr still recurse."""
+
+    @pytest.mark.parametrize(
+        "source,rendered,shaded",
+        [
+            ("(" * DEEP + "x" + ")" * DEEP, "x", 0b1010),
+            (NEGATIONS, NEGATIONS, 0b1010),
+            (AND_CHAIN, AND_CHAIN, 0b1000),
+            (IMPLIES_CHAIN, IMPLIES_CHAIN, 0b1111),
+        ],
+        ids=["parentheses", "negations", "and-chain", "implies-chain"],
+    )
+    def test_parse_compile_render(self, source, rendered, shaded):
+        start = time.perf_counter()
+        e = parse(source)
+        assert compile_expr(e, ["x", "y"]) == OperatorSpec(2, shaded)
+        text = render(e)
+        assert text == rendered
+        assert render(parse(text)) == text
+        assert variables(e) <= {"x", "y"}
+        assert evaluate_bool(e, {"x": True, "y": True})
+        assert time.perf_counter() - start < 10.0
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: the recursive-descent tokenizer and parser that parse()
+# replaced, kept verbatim (with their tables) as the oracle for the
+# equivalence test below.
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str      # "op", "not", "const", "name", "(", ")", "end"
+    value: object
+    pos: int
+
+
+_KEYWORD_TOKENS = {
+    "and": ("op", "and"),
+    "or": ("op", "or"),
+    "xor": ("op", "xor"),
+    "implies": ("op", "implies"),
+    "iff": ("op", "iff"),
+    "nand": ("op", "nand"),
+    "nor": ("op", "nor"),
+    "not": ("not", None),
+    "true": ("const", True),
+    "false": ("const", False),
+}
+
+# longest first so "<->" wins over "<-" and "!->" over "!"
+_SYMBOL_OPS = (
+    ("<->", "iff"),
+    ("!->", "nonimplies"),
+    ("!<-", "rev_nonimplies"),
+    ("->", "implies"),
+    ("<-", "rev_implies"),
+    ("^", "xor"),
+    ("&", "and"),
+    ("|", "or"),
+)
+
+_NUM_RE = re.compile(r"[0-9]+")
+_NOT_WORD_RE = re.compile(r"!(and|or)\b")
+
+
+def _tokenize(source: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i, limit = 0, len(source)
+    while i < limit:
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+            continue
+        m = _NAME_RE.match(source, i)
+        if m:
+            word = m.group()
+            kind, value = _KEYWORD_TOKENS.get(word, ("name", word))
+            if kind == "name":
+                value = word
+            tokens.append(_Token(kind, value, i))
+            i = m.end()
+            continue
+        m = _NUM_RE.match(source, i)
+        if m:
+            if m.group() not in ("0", "1"):
+                raise ParseError(
+                    f"unexpected number {m.group()!r}", i, {"'0'", "'1'"}
+                )
+            tokens.append(_Token("const", m.group() == "1", i))
+            i = m.end()
+            continue
+        m = _NOT_WORD_RE.match(source, i)
+        if m:
+            tokens.append(_Token("op", "nand" if m.group(1) == "and" else "nor", i))
+            i = m.end()
+            continue
+        for text, op in _SYMBOL_OPS:
+            if source.startswith(text, i):
+                tokens.append(_Token("op", op, i))
+                i += len(text)
+                break
+        else:
+            if ch == "(" or ch == ")":
+                tokens.append(_Token(ch, ch, i))
+            elif ch == "!" or ch == "~":
+                tokens.append(_Token("not", None, i))
+            else:
+                raise ParseError(
+                    f"unexpected character {ch!r}",
+                    i,
+                    {"variable", "constant", "operator", "'('", "')'"},
+                )
+            i += 1
+    tokens.append(_Token("end", None, limit))
+    return tokens
+
+
+_LEVEL_IFF = frozenset(("iff", "xor"))
+_LEVEL_IMPL = frozenset(("implies", "rev_implies", "nonimplies", "rev_nonimplies"))
+_LEVEL_OR = frozenset(("or", "nor"))
+_LEVEL_AND = frozenset(("and", "nand"))
+
+_ATOM_EXPECTED = frozenset(("variable", "constant", "'('", "'!'"))
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def at_op(self, level: frozenset) -> bool:
+        tok = self.peek()
+        return tok.kind == "op" and tok.value in level
+
+    def parse_expr(self) -> Expr:
+        left = self.parse_impl()
+        while self.at_op(_LEVEL_IFF):
+            op = self.advance().value
+            left = BinOp(op, left, self.parse_impl())
+        return left
+
+    def parse_impl(self) -> Expr:
+        left = self.parse_union()
+        while self.at_op(_LEVEL_IMPL):
+            op = self.advance().value
+            if op == "implies":
+                return BinOp(op, left, self.parse_impl())
+            left = BinOp(op, left, self.parse_union())
+        return left
+
+    def parse_union(self) -> Expr:
+        left = self.parse_inter()
+        while self.at_op(_LEVEL_OR):
+            op = self.advance().value
+            left = BinOp(op, left, self.parse_inter())
+        return left
+
+    def parse_inter(self) -> Expr:
+        left = self.parse_unary()
+        while self.at_op(_LEVEL_AND):
+            op = self.advance().value
+            left = BinOp(op, left, self.parse_unary())
+        return left
+
+    def parse_unary(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "not":
+            self.advance()
+            return Not(self.parse_unary())
+        return self.parse_atom()
+
+    def parse_atom(self) -> Expr:
+        tok = self.advance()
+        if tok.kind == "name":
+            return Var(tok.value)
+        if tok.kind == "const":
+            return Const(tok.value)
+        if tok.kind == "(":
+            inner = self.parse_expr()
+            closer = self.advance()
+            if closer.kind != ")":
+                raise ParseError("unclosed group", closer.pos, {"')'"})
+            return inner
+        raise ParseError("expected an operand", tok.pos, _ATOM_EXPECTED)
+
+
+def _reference_parse(source: str) -> Expr:
+    """Parse source text into a formula tree."""
+    tokens = _tokenize(source)
+    if tokens[0].kind == "end":
+        raise ParseError("empty expression", 0, _ATOM_EXPECTED)
+    parser = _Parser(tokens)
+    node = parser.parse_expr()
+    tail = parser.peek()
+    if tail.kind != "end":
+        raise ParseError(
+            "unexpected trailing input", tail.pos, {"binary operator", "end of input"}
+        )
+    return node
+
+
+# the pieces random sources are made of: every spelling of every token,
+# names that start like keywords, numbers, stray characters and whitespace
+_PIECES = (
+    ["&", "and", "|", "or", "^", "xor", "->", "implies", "<-", "<->", "iff"]
+    + ["!and", "nand", "!or", "nor", "!->", "!<-", "!", "~", "not"]
+    + ["0", "1", "true", "false", "(", ")", "(", ")"]
+    + ["x", "y", "z", "andx", "nandy", "notz", "or_", "_a1", "truex", "x2"]
+    + ["2", "10", "01", "+", "<", "-", "=", "!!", "\u00e9", "\u0663"]
+)
+_SPACES = ("", " ", "  ", "\t", "\n", "\x1c")
+# equal-kind spellings for re-spelling the tokens of rendered formulas
+_RESPELL = {}
+for _group in (
+    ("&", "and"), ("|", "or"), ("^", "xor"), ("->", "implies"), ("<->", "iff"),
+    ("!and", "nand"), ("!or", "nor"), ("!", "~", "not"), ("1", "true"),
+    ("0", "false"),
+):
+    for _text in _group:
+        _RESPELL[_text] = _group
+
+
+def _outcome(parser, source):
+    try:
+        return ("tree", parser(source))
+    except ParseError as exc:
+        return ("error", str(exc), exc.offset, exc.expected)
+
+
+def _random_source(rng):
+    """Token soup, or a rendered formula re-spelled and maybe mutated."""
+    if rng.random() < 0.5:
+        pieces = [rng.choice(_PIECES) for _ in range(rng.randint(0, 12))]
+    else:
+        e = _random_formula(rng, ["x", "y", "z"], rng.randint(1, 8))
+        pieces = [
+            rng.choice(_RESPELL.get(m.group(), (m.group(),)))
+            for m in re.finditer(r"!and|!or|<->|!->|!<-|->|<-|\w+|\S", render(e))
+        ]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            k = rng.randrange(len(pieces) + 1)
+            if rng.random() < 0.5 or not pieces[k:]:
+                pieces.insert(k, rng.choice(_PIECES))
+            else:
+                del pieces[k]
+    return "".join(rng.choice(_SPACES) + p for p in pieces) + rng.choice(_SPACES)
+
+
+class TestParserEquivalence:
+    def test_matches_recursive_descent_parser(self):
+        rng = random.Random(1961)
+        trees = 0
+        for _ in range(20_000):
+            source = _random_source(rng)
+            want = _outcome(_reference_parse, source)
+            assert _outcome(parse, source) == want, repr(source)
+            trees += want[0] == "tree"
+        # both outcomes are well represented
+        assert 4_000 < trees < 16_000
