@@ -4,7 +4,7 @@ expansion oracle."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress, product, repeat
 from math import fsum, isfinite, prod
@@ -20,7 +20,6 @@ from .logic_core import (
     PrevalenceOrder,
     _fuzzy_disj_sums,
     _neutro_disj_sums,
-    fuzzy_disj_disjoint,
     inclusion_exclusion,
     neutro_conj,
     neutro_neg,
@@ -142,31 +141,26 @@ def _side_detail(n: int, side: int, columns: Columns, make, disjoin, *args):
     return disjoin(side.bit_count(), *sums, *args), f"union {labels}"
 
 
-# The detail functions take side_columns: side_columns(side) returns value
-# columns whose entries are right at least for the parts set in side.
 def _fuzzy_detail(
-    spec: OperatorSpec, a: Assignment, side_columns: Callable[[int], Columns]
+    spec: OperatorSpec, a: Assignment, columns: Columns
 ) -> tuple[FuzzyValue, str, None]:
     if spec.shaded == 0:
         return FuzzyValue(0.0, 1.0), "empty", None
     value, strategy = _side_detail(
-        spec.n, spec.shaded, side_columns(spec.shaded), FuzzyValue, _fuzzy_disj_sums
+        spec.n, spec.shaded, columns, FuzzyValue, _fuzzy_disj_sums
     )
     return value, strategy, None
 
 
 def fuzzy_operator_eval(spec: OperatorSpec, a: Assignment) -> FuzzyValue:
-    """Fuzzy value of a shaded operator: the disjoint sum of its parts, each
-    valued by fuzzy_part_value.
+    """Fuzzy value of a shaded operator: the aggregate of evaluate_operator,
+    the disjoint sum of its shaded parts.
 
     The empty operator is (0, 1); a single shaded part passes through
     unchanged.
     """
     _require(a, spec.n, "fuzzy")
-    values = [fuzzy_part_value(p, a) for p in spec.shaded_parts()]
-    if not values:
-        return FuzzyValue(0.0, 1.0)
-    return values[0] if len(values) == 1 else fuzzy_disj_disjoint(values)
+    return evaluate_operator(spec, a).aggregate
 
 
 def neutro_part_value(
@@ -182,7 +176,7 @@ def neutro_part_value(
 
 
 def _neutro_detail(
-    spec: OperatorSpec, a: Assignment, side_columns: Callable[[int], Columns]
+    spec: OperatorSpec, a: Assignment, columns: Columns
 ) -> tuple[NeutrosophicValue, str, float | None]:
     full = spec.full_mask
     if spec.shaded == 0:
@@ -205,7 +199,7 @@ def _neutro_detail(
     side = full ^ spec.shaded if use_complement else spec.shaded
     tau = None if side & (side - 1) == 0 else diagram_norm(a)
     value, strategy = _side_detail(
-        spec.n, side, side_columns(side), NeutrosophicValue, _neutro_disj_sums, tau
+        spec.n, side, columns, NeutrosophicValue, _neutro_disj_sums, tau
     )
     if use_complement:
         return neutro_neg(value), f"negated {strategy}", tau
@@ -215,7 +209,8 @@ def _neutro_detail(
 def neutro_operator_eval(
     spec: OperatorSpec, a: Assignment, order: PrevalenceOrder = TIF
 ) -> NeutrosophicValue:
-    """Three-component value of a shaded operator.
+    """Three-component value of a shaded operator: the aggregate of
+    evaluate_operator.
 
     The empty and full operators are (0,0,1) and (1,0,0).  An operator whose
     shading is exactly the parts inside variable i, or exactly the parts
@@ -224,27 +219,15 @@ def neutro_operator_eval(
     complement is smaller (on a tie, the side without the all-negated part):
     one part evaluates directly, several parts combine through the disjoint
     disjunction with target norm equal to the product of the variable norms.
-    A complement-side result is negated on the way out.  Only the parts of
-    the aggregated side are valued, each by neutro_part_value; the empty,
-    full and literal operators value none.
+    A complement-side result is negated on the way out.
     """
     _require(a, spec.n, "neutrosophic")
-
-    def side_columns(side: int) -> Columns:
-        columns = [[0.0] * spec.part_count for _ in Component]
-        for part in OperatorSpec(spec.n, side).shaded_parts():
-            value = neutro_part_value(part, a, order)
-            for column, x in zip(columns, vars(value).values()):
-                column[part.mask] = x
-        return columns
-
-    return _neutro_detail(spec, a, side_columns)[0]
+    return evaluate_operator(spec, a, order).aggregate
 
 
 def oracle_expand(
     values: Sequence[NeutrosophicValue],
     order: PrevalenceOrder = TIF,
-    max_k: int = ORACLE_MAX_K,
 ) -> NeutrosophicValue:
     """Ground-truth conjunction by enumerating all 3^k component drawings.
 
@@ -263,8 +246,8 @@ def oracle_expand(
     k = len(values)
     if k < 1:
         raise DomainError("oracle needs at least one operand")
-    if k > max_k:
-        raise OracleTooLarge(f"3^{k} terms exceed the budget of 3^{max_k}")
+    if k > ORACLE_MAX_K:
+        raise OracleTooLarge(f"3^{k} terms exceed the budget of 3^{ORACLE_MAX_K}")
     ranks = [order.rank(c) for c in Component]
     head, tail = values[:-_ORACLE_TAIL], values[-_ORACLE_TAIL:]
     # strongest rank of every tail drawing, in product order
@@ -398,25 +381,20 @@ def _neutro_residual(a: Assignment, columns: Columns) -> float:
     return max(map(abs, map(sub, norms, repeat(diagram_norm(a)))))
 
 
+def _fuzzy_oracle(a: Assignment, order: PrevalenceOrder) -> list[FuzzyValue]:
+    return [_fuzzy_part_oracle(p, a) for p in enumerate_parts(len(a.values))]
+
+
+def _fuzzy_residual(a: Assignment, columns: Columns) -> float:
+    return abs(fsum(columns[0]) - 1.0)
+
+
 # What evaluate_operator needs from each logic: all part value columns,
 # brute-force values of all parts, aggregation route and partition residual.
-# The brute-force routes look public functions up by their global names at
-# call time, so rebinding a module attribute (as tracing does) still reaches
-# them.
 _LOGICS = {
-    "fuzzy": (
-        _fuzzy_parts,
-        lambda a, order: [
-            _fuzzy_part_oracle(p, a) for p in enumerate_parts(len(a.values))
-        ],
-        _fuzzy_detail,
-        lambda a, columns: abs(fsum(columns[0]) - 1.0),
-    ),
+    "fuzzy": (_fuzzy_parts, _fuzzy_oracle, _fuzzy_detail, _fuzzy_residual),
     "neutrosophic": (
-        _neutro_parts,
-        _neutro_oracle,
-        _neutro_detail,
-        _neutro_residual,
+        _neutro_parts, _neutro_oracle, _neutro_detail, _neutro_residual
     ),
 }
 
@@ -443,12 +421,12 @@ def evaluate_operator(
     _require(a, spec.n, a.kind)
     part_columns, part_oracle, detail, residual = _LOGICS[a.kind]
     columns = part_columns(a, order)
-    aggregate, strategy, tau = detail(spec, a, lambda side: columns)
+    aggregate, strategy, tau = detail(spec, a, columns)
     oracle_delta = None
     if with_oracle:
         expected = _columns(part_oracle(a, order))
         got = [vars(aggregate).values(), *columns]
-        want = [vars(detail(spec, a, lambda side: expected)[0]).values(), *expected]
+        want = [vars(detail(spec, a, expected)[0]).values(), *expected]
         oracle_delta = max(map(_delta, got, want))
     return EvalReport(
         spec=spec,
@@ -522,10 +500,10 @@ def neutro_operator_table(
     """Evaluate the whole binary catalog under one assignment, annotating
     each row with the aggregation strategy it took."""
     _require(a, 2, "neutrosophic")
-    columns = _columns([neutro_part_value(p, a, order) for p in enumerate_parts(2)])
+    columns = _neutro_parts(a, order)
     rows = []
     for position, op in enumerate(knuth_registry()):
-        value, strategy, tau = _neutro_detail(op.spec, a, lambda side: columns)
+        value, strategy, tau = _neutro_detail(op.spec, a, columns)
         rows.append(
             NeutroOperatorRow(
                 row=position,

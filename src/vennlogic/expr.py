@@ -17,10 +17,9 @@ node.
 Nothing here recurses.  The tokenizer is one regular expression, parse()
 is operator-precedence (shunting-yard) parsing over explicit operand and
 operator stacks, and render(), variables(), evaluate_bool() and
-compile_expr() walk the tree with explicit stacks, so formula depth is
-bounded by memory, not by the interpreter's recursion limit.  The
-dataclass-generated ==, hash and repr of the nodes do still recurse, so
-compare very deep trees by their render() text.
+compile_expr() walk the tree with explicit stacks, and so do the nodes'
+==, hash and repr, so formula depth is bounded by memory, not by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -53,11 +52,81 @@ KEYWORDS = frozenset(
 )
 
 
+class _Known:
+    """A subtree whose hash is already computed, standing in for it inside
+    its parent's field tuple."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
 class Expr:
-    """Base class for formula nodes."""
+    """Base class for formula nodes.
+
+    ==, hash and repr give what the dataclass-generated methods would (the
+    nodes' field tuples compared, hashed and printed) but walk the tree with
+    explicit stacks instead of recursing.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            x, y = pairs.pop()
+            if x is y:
+                continue
+            if isinstance(x, Expr) and isinstance(y, Expr):
+                if x.__class__ is not y.__class__:
+                    return False
+                pairs.extend(zip(vars(x).values(), vars(y).values()))
+            elif not x == y:
+                return False
+        return True
+
+    def __hash__(self):
+        # children first: a node hashes its field tuple with each child node
+        # replaced by the child's known hash
+        hashes = []
+        stack: list = [self]  # nodes, and the field lists of nodes to finish
+        while stack:
+            item = stack.pop()
+            if isinstance(item, Expr):
+                fields = list(vars(item).values())
+                stack.append(fields)
+                stack.extend([x for x in reversed(fields) if isinstance(x, Expr)])
+                continue
+            for i in reversed(range(len(item))):
+                if isinstance(item[i], Expr):
+                    item[i] = _Known(hashes.pop())
+            hashes.append(hash(tuple(item)))
+        return hashes[0]
+
+    def __repr__(self):
+        pieces = []
+        stack: list = [self]  # nodes, and text to emit
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Expr):
+                pieces.append(item)
+                continue
+            pieces.append(f"{item.__class__.__qualname__}(")
+            stack.append(")")
+            fields = list(vars(item).items())
+            for k in reversed(range(len(fields))):
+                name, x = fields[k]
+                stack.append(x if isinstance(x, Expr) else repr(x))
+                stack.append(f"{', ' if k else ''}{name}=")
+        return "".join(pieces)
 
 
-@dataclass(frozen=True)
+# eq=False and repr=False keep Expr's iterative methods
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     name: str
 
@@ -66,17 +135,17 @@ class Var(Expr):
             raise DomainError(f"invalid variable name {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Expr):
     child: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(Expr):
     op: str
     left: Expr

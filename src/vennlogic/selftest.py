@@ -278,7 +278,7 @@ SUITES = (
 )
 
 
-def run_selftest(seed: int = 0, inject_failure: bool = False, writer=print) -> bool:
+def run_selftest(seed: int = 0, inject_failure: bool = False) -> bool:
     """Run every suite; stop and report at the first failure.
 
     inject_failure perturbs one comparison on purpose so CI can confirm that
@@ -290,8 +290,8 @@ def run_selftest(seed: int = 0, inject_failure: bool = False, writer=print) -> b
         try:
             fn(rng, perturb)
         except VennLogicError as exc:
-            writer(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
             return False
-        writer(f"ok {name}")
-    writer("all suites passed")
+        print(f"ok {name}")
+    print("all suites passed")
     return True

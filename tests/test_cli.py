@@ -1,12 +1,16 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import random
 
 import pytest
 
 from vennlogic import Part, cli, compile_expr, parse
 
 NEUTRO_ASSIGN = "x=0.5,0.3,0.2;y=0.4,0.4,0.2"
+
+# the parts of the binary diagram as formulas, by part mask
+MINTERMS = ("!x & !y", "x & !y", "!x & y", "x & y")
 
 
 def run(capsys, *argv):
@@ -332,6 +336,35 @@ class TestTables:
         by_index = {r["index"]: r for r in payload["rows"]}
         assert by_index[8]["value"] == {"T": 0.0, "I": 0.0, "F": 1.0}
         assert by_index[14]["value"] == {"T": 1.0, "I": 0.0, "F": 0.0}
+
+
+    @pytest.mark.parametrize("order", ["TIF", "ITF", "TFI"])
+    def test_table2_rows_match_eval(self, capsys, order):
+        # table 2 and eval aggregate the same part columns, digit for digit;
+        # the first assignment once printed I = 0.0759468794573 for "and" in
+        # the table and 0.0759468794574 from eval
+        rng = random.Random(order)
+        assignments = [
+            "x=0.08921459423261346,0.22969322110468274,0.1191332977823639;"
+            "y=0.12886960661399266,0.14532853126434028,0.02991547969024159"
+        ]
+        for _ in range(3):
+            # T + I + F <= 1/2 keeps the ITF truth mass of a union below 1
+            assignments.append(";".join(
+                f"{name}=" + ",".join(repr(rng.uniform(0.0, 1 / 6)) for _ in "TIF")
+                for name in "xy"
+            ))
+        for assignment in assignments:
+            table = run_json(capsys, "table", "2", "-a", assignment, "--order", order)
+            for row in table["rows"]:
+                shaded = [f"({MINTERMS[p]})" for p in range(4) if row["index"] >> p & 1]
+                payload = run_json(
+                    capsys, "eval", "-e", " | ".join(shaded) or "0", "-a", assignment,
+                    "-v", "x,y", "--logic", "neutrosophic", "--order", order,
+                )
+                assert payload["index"] == row["index"]
+                assert payload["aggregate"] == row["value"], (assignment, row["name"])
+                assert (payload["strategy"], payload["tau"]) == (row["strategy"], row["tau"])
 
 
 class TestParts:

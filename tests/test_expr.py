@@ -3,7 +3,7 @@
 import random
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -303,9 +303,7 @@ IMPLIES_CHAIN = " -> ".join(["y"] * DEEP)
 
 
 class TestDeepFormulas:
-    """Nothing in expr.py recurses, so depth is bounded by memory alone.
-    Trees this deep are compared through render(), because the
-    dataclass-generated ==, hash and repr still recurse."""
+    """Nothing in expr.py recurses, so depth is bounded by memory alone."""
 
     @pytest.mark.parametrize(
         "source,rendered,shaded",
@@ -327,6 +325,72 @@ class TestDeepFormulas:
         assert variables(e) <= {"x", "y"}
         assert evaluate_bool(e, {"x": True, "y": True})
         assert time.perf_counter() - start < 10.0
+
+    @pytest.mark.parametrize(
+        "source,other,want",
+        [
+            (
+                NEGATIONS,
+                NEGATIONS[:-1] + "z",
+                "Not(child=" * DEEP + "Var(name='x')" + ")" * DEEP,
+            ),
+            ("z" + AND_CHAIN[1:], AND_CHAIN, None),
+        ],
+        ids=["negations", "and-chain"],
+    )
+    def test_eq_hash_repr(self, source, other, want):
+        # other differs from source only in the deepest leaf
+        start = time.perf_counter()
+        e, twin = parse(source), parse(source)
+        assert e == twin
+        assert e != parse(other)
+        assert hash(e) == hash(twin)
+        leaves = re.findall(r"\w+", source)
+        assert repr(e) == (want or _chain_repr(leaves))
+        assert time.perf_counter() - start < 10.0
+
+
+def _chain_repr(leaves):
+    """The repr of the left-deep chain leaves[0] & leaves[1] & ..."""
+    text = "BinOp(op='and', left=" * (len(leaves) - 1) + f"Var(name={leaves[0]!r})"
+    return text + "".join(f", right=Var(name={leaf!r}))" for leaf in leaves[1:])
+
+
+# the dataclass-generated ==, hash and repr, as the reference for Expr's
+_REFERENCE_CLASSES = {
+    cls: make_dataclass(cls.__name__, list(cls.__dataclass_fields__), frozen=True)
+    for cls in (Var, Const, Not, BinOp)
+}
+
+
+def _reference(e):
+    """e rebuilt from classes with the dataclass-generated methods."""
+    return _REFERENCE_CLASSES[type(e)](
+        *(_reference(v) if isinstance(v, Expr) else v for v in vars(e).values())
+    )
+
+
+class TestNodeMethods:
+    @settings(max_examples=200)
+    @given(formulas, formulas)
+    def test_match_dataclass_methods(self, case, other):
+        (_, e), (_, f) = case, other
+        for g in (e, f, Not(e), BinOp("and", e, f)):
+            assert repr(g) == repr(_reference(g))
+            assert hash(g) == hash(_reference(g))
+            assert repr(g) == repr(parse(render(g)))
+        twin = parse(render(e))
+        assert e == twin and hash(e) == hash(twin)
+        for g, h in ((e, f), (f, e), (e, twin), (e, Not(e)), (BinOp("or", e, f), BinOp("or", e, e))):
+            assert (g == h) is (_reference(g) == _reference(h))
+            assert (g != h) is (_reference(g) != _reference(h))
+
+    def test_other_types(self):
+        assert x != "x" and not x == "x"
+        assert x != Const(True) and Not(x) != x
+        assert Const(True) == Const(1) and hash(Const(True)) == hash(Const(1))
+        assert x == Var("x") and {x, Var("x"), y} == {x, y}
+        assert _chain_repr(["x", "y", "x"]) == repr(parse("x & y & x"))
 
 
 # ---------------------------------------------------------------------------

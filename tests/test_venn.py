@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from vennlogic import (
     DomainError,
     LengthMismatch,
+    N_MAX,
     OperatorSpec,
     Part,
     TooManyVariables,
@@ -116,7 +117,7 @@ class TestOperatorSpec:
         assert complement(spec).shaded == 0b01001011
         assert complement(complement(spec)) == spec
 
-    @given(st.integers(min_value=1, max_value=6), st.data())
+    @given(st.integers(min_value=1, max_value=N_MAX), st.data())
     def test_complement_involution(self, n, data):
         shaded = data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
         spec = OperatorSpec(n, shaded)
@@ -196,7 +197,8 @@ class TestPartColumns:
         with pytest.raises(TooManyVariables):
             part_labels(21)
 
-    @given(st.integers(1, 6), st.data())
+    # the is_shaded reference costs O(4^n), so stop at twelve variables
+    @given(st.integers(1, 12), st.data())
     def test_mask_bits(self, n, data):
         mask = data.draw(st.integers(0, (1 << (1 << n)) - 1))
         spec = OperatorSpec(n, mask)
