@@ -311,6 +311,18 @@ class TestNeutroOperators:
                     else:
                         assert got is want, (n, order.order, spec.shaded)
 
+    def test_literal_at_twelve_variables_values_no_part(self, monkeypatch):
+        # literals and a conjunction at n = 12 read evaluate_operator's
+        # columns; neither values a part with neutro_part_value
+        def refuse(*args):
+            raise AssertionError("a part valued on its own")
+
+        monkeypatch.setattr(evaluate, "neutro_part_value", refuse)
+        names = _names(12)
+        a = Assignment.neutrosophic(names, _triples(random.Random(12), 12))
+        for text in ("x3", "!x3", "x3 & x7"):
+            neutro_operator_eval(compile_expr(parse(text), names), a)
+
 
 class TestOracle:
     def test_matches_composition_route(self):
@@ -594,6 +606,20 @@ class TestValueColumns:
                 want = neutro_part_value(Part(12, mask), a, order)
                 _close(view[mask][1], (want.T, want.I, want.F))
 
+    def test_catalog_paths_value_parts_one_at_a_time(self, monkeypatch):
+        # the catalog evaluators and both tables aggregate evaluate_operator's
+        # part columns: no part is valued one at a time
+        def refuse(*args):
+            raise AssertionError("a part valued on its own")
+
+        monkeypatch.setattr(evaluate, "fuzzy_part_value", refuse)
+        monkeypatch.setattr(evaluate, "neutro_part_value", refuse)
+        for op in knuth_registry():
+            fuzzy_operator_eval(op.spec, FUZZY_XY)
+            neutro_operator_eval(op.spec, NEUTRO_XY, ITF)
+        fuzzy_operator_table()
+        neutro_operator_table(NEUTRO_XY)
+
     def test_column_route_raises_the_public_message(self):
         # the ITF truth mass of a normalized xor chain exceeds 1; summing
         # the columns must fail exactly as neutro_disj_disjoint does
@@ -667,19 +693,3 @@ class TestCatalogRoute:
                     for row in neutro_operator_table(a, order)
                 ])
                 assert got == want, (triples, order.order)
-
-    def test_catalog_paths_value_no_part_one_at_a_time(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a part valued on its own")
-
-        monkeypatch.setattr(evaluate, "fuzzy_part_value", refuse)
-        monkeypatch.setattr(evaluate, "neutro_part_value", refuse)
-        for op in knuth_registry():
-            fuzzy_operator_eval(op.spec, FUZZY_XY)
-            neutro_operator_eval(op.spec, NEUTRO_XY, ITF)
-        fuzzy_operator_table()
-        neutro_operator_table(NEUTRO_XY)
-        names = _names(12)
-        a = Assignment.neutrosophic(names, _triples(random.Random(12), 12))
-        for text in ("x3", "!x3", "x3 & x7"):
-            neutro_operator_eval(compile_expr(parse(text), names), a)
