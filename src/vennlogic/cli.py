@@ -135,12 +135,7 @@ def _parse_assignment(text: str, logic: str) -> Assignment:
         raise ArityMismatch("duplicate variable names in assignment")
 
     if logic == "neutrosophic":
-        for name, comps in zip(names, rows):
-            if len(comps) != 3:
-                raise ArityMismatch(
-                    f"variable {name!r}: neutrosophic values need T,I,F"
-                )
-        return Assignment.neutrosophic(names, [tuple(r) for r in rows])
+        return Assignment.neutrosophic(names, rows)
 
     values = []
     for name, comps in zip(names, rows):

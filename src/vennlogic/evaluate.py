@@ -80,15 +80,19 @@ class Assignment:
 
     @classmethod
     def neutrosophic(cls, names, triples) -> "Assignment":
-        values = []
-        for name, (t, i, f) in zip(names, triples, strict=True):
-            for channel, x in (("T", t), ("I", i), ("F", f)):
+        names, triples = tuple(names), [tuple(t) for t in triples]
+        for name, triple in zip(names, triples):
+            if len(triple) != 3:
+                raise ArityMismatch(
+                    f"variable {name!r}: neutrosophic values need T,I,F"
+                )
+        for name, triple in zip(names, triples):
+            for channel, x in zip("TIF", triple):
                 if not 0.0 <= x <= 1.0:
                     raise DomainError(
                         f"variable {name!r}: {channel}={x!r} outside [0, 1]"
                     )
-            values.append(NeutrosophicValue(t, i, f))
-        return cls(tuple(names), tuple(values))
+        return cls(names, tuple(NeutrosophicValue(*t) for t in triples))
 
 
 def diagram_norm(a: Assignment) -> float:
@@ -467,8 +471,8 @@ def fuzzy_operator_table() -> tuple[FuzzyOperatorRow, ...]:
     """The catalog of binary operators with their truth polynomials.
 
     Before emitting anything, every operator's diagram evaluation is checked
-    against its polynomial on the 11x11 grid over {0, 0.1, ..., 1}; a
-    deviation beyond TABLE_TOL raises VerificationFailure.
+    against its mask's Moebius-derived polynomial on the 11x11 grid over
+    {0, 0.1, ..., 1}; a deviation beyond TABLE_TOL raises VerificationFailure.
     """
     rows = []
     for position, op in enumerate(knuth_registry()):

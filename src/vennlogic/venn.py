@@ -221,27 +221,51 @@ def complement(spec: OperatorSpec) -> OperatorSpec:
 
 @dataclass(frozen=True)
 class TruthPolynomial:
-    """Bilinear truth form c0 + c1*t1 + c2*t2 + c12*t1*t2."""
+    """The multilinear extension of an operator's truth table: the sum over
+    its terms (c, vs) of c times the product of t_{i+1} for i in vs, the
+    0-based variable indices.  Terms are listed by degree, then by index."""
 
-    c0: int
-    c1: int
-    c2: int
-    c12: int
-    text: str
+    terms: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def __call__(self, t1: float, t2: float) -> float:
-        return self.c0 + self.c1 * t1 + self.c2 * t2 + self.c12 * t1 * t2
+    @classmethod
+    def of(cls, spec: OperatorSpec) -> "TruthPolynomial":
+        """The nonzero Moebius coefficients of the 2^n truth-table bits: that
+        of subset S is the sum over subsets T of S of (-1)^|S-T| * bit_T,
+        computed in place one variable at a time in O(n * 2^n)."""
+        n = spec.n
+        coeffs = list(mask_bits(n, spec.shaded))
+        for bit in (1 << i for i in range(n)):
+            for s in range(1 << n):
+                if s & bit:
+                    coeffs[s] -= coeffs[s ^ bit]
+        subsets = [tuple(i for i in range(n) if s >> i & 1) for s in range(1 << n)]
+        order = sorted(range(1 << n), key=lambda s: (len(subsets[s]), subsets[s]))
+        return cls(tuple((coeffs[s], subsets[s]) for s in order if coeffs[s]))
+
+    @property
+    def text(self) -> str:
+        """The sum as the classical tables print it: terms joined by " + " or
+        " - ", a coefficient of magnitude 1 left out, and "0" for no term.  The
+        first coefficient is its subset's truth bit, 1: earlier subsets have 0."""
+        pieces = []
+        for c, vs in self.terms:
+            factors = ([] if abs(c) == 1 else [str(abs(c))]) + [f"t{i + 1}" for i in vs]
+            pieces += ["-" if c < 0 else "+", "*".join(factors) or "1"]
+        return " ".join(pieces[1:]) or "0"
+
+    def __call__(self, *ts: float) -> float:
+        total = 0
+        for c, vs in self.terms:
+            for i in vs:
+                c *= ts[i]
+            total += c
+        return total
 
 
 @dataclass(frozen=True)
 class NamedOperator:
-    """A catalogued two-variable operator.
+    """A catalogued two-variable operator."""
 
-    index duplicates spec.shaded: it is the operator's integer code under the
-    part-bit convention and is independent of catalog row order.
-    """
-
-    index: int
     spec: OperatorSpec
     names: tuple[str, ...]
     symbol: str
@@ -250,10 +274,11 @@ class NamedOperator:
     def __post_init__(self):
         if self.spec.n != 2:
             raise DomainError("named operators are binary")
-        if self.index != self.spec.shaded:
-            raise DomainError(
-                f"index {self.index} does not match shaded mask {self.spec.shaded}"
-            )
+
+    @property
+    def index(self) -> int:
+        """The operator's code, its shaded mask; independent of row order."""
+        return self.spec.shaded
 
     @property
     def display_name(self) -> str:
@@ -261,22 +286,22 @@ class NamedOperator:
 
 
 _REGISTRY_ROWS = (
-    (0b0000, ("Contradiction", "falsehood", "constant 0"), "⊥", (0, 0, 0, 0), "0"),
-    (0b1000, ("Conjunction", "and"), "∧", (0, 0, 0, 1), "t1*t2"),
-    (0b0010, ("Nonimplication", "difference", "but not"), "⊅", (0, 1, 0, -1), "t1 - t1*t2"),
-    (0b1010, ("Left projection",), "L", (0, 1, 0, 0), "t1"),
-    (0b0100, ("Converse nonimplication", "not...but"), "⊄", (0, 0, 1, -1), "t2 - t1*t2"),
-    (0b1100, ("Right projection",), "R", (0, 0, 1, 0), "t2"),
-    (0b0110, ("Exclusive disjunction", "nonequivalence", "xor"), "⊕", (0, 1, 1, -2), "t1 + t2 - 2*t1*t2"),
-    (0b1110, ("Inclusive disjunction", "or", "and/or"), "∨", (0, 1, 1, -1), "t1 + t2 - t1*t2"),
-    (0b0001, ("Nondisjunction", "joint denial", "neither...nor"), "⊽", (1, -1, -1, 1), "1 - t1 - t2 + t1*t2"),
-    (0b1001, ("Equivalence", "if and only if"), "≡", (1, -1, -1, 2), "1 - t1 - t2 + 2*t1*t2"),
-    (0b0011, ("Right complementation",), "¬R", (1, 0, -1, 0), "1 - t2"),
-    (0b1011, ("Converse implication", "if"), "⊂", (1, 0, -1, 1), "1 - t2 + t1*t2"),
-    (0b0101, ("Left complementation",), "¬L", (1, -1, 0, 0), "1 - t1"),
-    (0b1101, ("Implication", "only if", "if...then"), "⊃", (1, -1, 0, 1), "1 - t1 + t1*t2"),
-    (0b0111, ("Nonconjunction", "not both...and", "nand"), "⊼", (1, 0, 0, -1), "1 - t1*t2"),
-    (0b1111, ("Affirmation", "validity", "tautology", "constant 1"), "⊤", (1, 0, 0, 0), "1"),
+    (0b0000, ("Contradiction", "falsehood", "constant 0"), "⊥"),
+    (0b1000, ("Conjunction", "and"), "∧"),
+    (0b0010, ("Nonimplication", "difference", "but not"), "⊅"),
+    (0b1010, ("Left projection",), "L"),
+    (0b0100, ("Converse nonimplication", "not...but"), "⊄"),
+    (0b1100, ("Right projection",), "R"),
+    (0b0110, ("Exclusive disjunction", "nonequivalence", "xor"), "⊕"),
+    (0b1110, ("Inclusive disjunction", "or", "and/or"), "∨"),
+    (0b0001, ("Nondisjunction", "joint denial", "neither...nor"), "⊽"),
+    (0b1001, ("Equivalence", "if and only if"), "≡"),
+    (0b0011, ("Right complementation",), "¬R"),
+    (0b1011, ("Converse implication", "if"), "⊂"),
+    (0b0101, ("Left complementation",), "¬L"),
+    (0b1101, ("Implication", "only if", "if...then"), "⊃"),
+    (0b0111, ("Nonconjunction", "not both...and", "nand"), "⊼"),
+    (0b1111, ("Affirmation", "validity", "tautology", "constant 1"), "⊤"),
 )
 
 
@@ -287,13 +312,8 @@ def knuth_registry() -> tuple[NamedOperator, ...]:
 
     Row position and integer index differ: the index is the shaded-part mask.
     """
-    return tuple(
-        NamedOperator(
-            index=shaded,
-            spec=OperatorSpec(2, shaded),
-            names=names,
-            symbol=symbol,
-            truth_poly=TruthPolynomial(*coeffs, text=text),
-        )
-        for shaded, names, symbol, coeffs, text in _REGISTRY_ROWS
-    )
+    ops = []
+    for shaded, names, symbol in _REGISTRY_ROWS:
+        spec = OperatorSpec(2, shaded)
+        ops.append(NamedOperator(spec, names, symbol, TruthPolynomial.of(spec)))
+    return tuple(ops)

@@ -318,6 +318,12 @@ class TestTables:
         assert lines[0] == "row,index,truth,symbol,name"
         assert len(lines) == 17
 
+    def test_table1_failed_verification_exits_3(self, capsys, shifted_grid_point):
+        rc, out, err = run(capsys, "table", "1")
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: Equivalence") and "(0.3, 0.7)" in err
+
     def test_table2_default_assignment(self, capsys):
         payload = run_json(capsys, "table", "2")
         assert payload["table"] == 2

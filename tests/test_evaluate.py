@@ -24,6 +24,7 @@ from vennlogic import (
     PrevalenceOrder,
     TFI,
     VennLogicError,
+    VerificationFailure,
     compile_expr,
     diagram_norm,
     enumerate_parts,
@@ -104,6 +105,15 @@ class TestAssignment:
     def test_neutrosophic_channel_range_names_variable(self):
         with pytest.raises(DomainError, match="'y'.*I=1.5"):
             Assignment.neutrosophic(("x", "y"), ((0.5, 0.3, 0.2), (0.4, 1.5, 0.2)))
+
+    def test_neutrosophic_triple_count(self):
+        for count in (1, 3):
+            with pytest.raises(ArityMismatch, match=f"2 variable names but {count} "):
+                Assignment.neutrosophic(("x", "y"), ((0.5, 0.3, 0.2),) * count)
+
+    def test_neutrosophic_short_triple_names_variable(self):
+        with pytest.raises(ArityMismatch, match="'y'.*T,I,F"):
+            Assignment.neutrosophic(("x", "y"), ((0.5, 0.3, 0.2), (0.4, 0.4)))
 
     def test_kind_and_n(self):
         assert FUZZY_XY.kind == "fuzzy" and FUZZY_XY.n == 2
@@ -506,6 +516,10 @@ class TestTables:
         assert [r.index for r in rows] == [op.index for op in knuth_registry()]
         assert rows[1].name == "Conjunction; and"
         assert rows[6].truth_poly == "t1 + t2 - 2*t1*t2"
+
+    def test_fuzzy_table_grid_check(self, shifted_grid_point):
+        with pytest.raises(VerificationFailure, match=r"^Equivalence.*\(0\.3, 0\.7\)"):
+            fuzzy_operator_table()
 
     def test_neutro_table(self):
         rows = neutro_operator_table(NEUTRO_XY)

@@ -1,18 +1,23 @@
 """Tests for diagram parts, operator specs, and the binary operator catalog."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from vennlogic import (
+    Assignment,
     DomainError,
     LengthMismatch,
     N_MAX,
     OperatorSpec,
     Part,
     TooManyVariables,
+    TruthPolynomial,
     complement,
     enumerate_parts,
+    evaluate_operator,
     knuth_registry,
     operator_from_truth_table,
 )
@@ -39,7 +44,39 @@ ROW_FUNCS = (
     lambda x, y: True,
 )
 
+# The catalog's truth polynomials as the classical tables print them, in row
+# order: (c0, c1, c2, c12) of c0 + c1*t1 + c2*t2 + c12*t1*t2, and the text.
+TRANSCRIBED = (
+    ((0, 0, 0, 0), "0"),
+    ((0, 0, 0, 1), "t1*t2"),
+    ((0, 1, 0, -1), "t1 - t1*t2"),
+    ((0, 1, 0, 0), "t1"),
+    ((0, 0, 1, -1), "t2 - t1*t2"),
+    ((0, 0, 1, 0), "t2"),
+    ((0, 1, 1, -2), "t1 + t2 - 2*t1*t2"),
+    ((0, 1, 1, -1), "t1 + t2 - t1*t2"),
+    ((1, -1, -1, 1), "1 - t1 - t2 + t1*t2"),
+    ((1, -1, -1, 2), "1 - t1 - t2 + 2*t1*t2"),
+    ((1, 0, -1, 0), "1 - t2"),
+    ((1, 0, -1, 1), "1 - t2 + t1*t2"),
+    ((1, -1, 0, 0), "1 - t1"),
+    ((1, -1, 0, 1), "1 - t1 + t1*t2"),
+    ((1, 0, 0, -1), "1 - t1*t2"),
+    ((1, 0, 0, 0), "1"),
+)
+
 CORNERS = tuple((bool(p & 1), bool(p >> 1 & 1)) for p in range(4))
+
+
+def _random_polys(ns, per_n=12):
+    """(spec, its derived polynomial) for the empty and full masks and
+    per_n random ones at each n."""
+    rng = random.Random(0)
+    for n in ns:
+        full = (1 << (1 << n)) - 1
+        for shaded in [0, full] + [rng.randint(0, full) for _ in range(per_n)]:
+            spec = OperatorSpec(n, shaded)
+            yield spec, TruthPolynomial.of(spec)
 
 
 class TestPart:
@@ -161,10 +198,39 @@ class TestRegistry:
         for i in range(16):
             assert ops[i].spec == complement(ops[15 - i].spec)
 
+    def test_truth_polynomials_match_transcription(self):
+        subsets = ((), (0,), (1,), (0, 1))
+        for (coeffs, text), op in zip(TRANSCRIBED, knuth_registry()):
+            derived = {vs: c for c, vs in op.truth_poly.terms}
+            assert tuple(derived.get(vs, 0) for vs in subsets) == coeffs
+            assert op.truth_poly.text == text
+
     def test_truth_polynomials_at_corners(self):
         for row, op in zip(ROW_FUNCS, knuth_registry()):
             for x, y in CORNERS:
                 assert op.truth_poly(float(x), float(y)) == float(row(x, y))
+        for spec, poly in _random_polys(range(1, 7)):
+            for p in range(spec.part_count):
+                corner = [float(p >> i & 1) for i in range(spec.n)]
+                assert poly(*corner) == float(spec.is_shaded(p)), (spec, p)
+
+    def test_truth_polynomials_match_fuzzy_aggregate(self):
+        rng = random.Random(1)
+        for spec, poly in _random_polys(range(1, 9), per_n=6):
+            names = [f"x{i}" for i in range(spec.n)]
+            for _ in range(4):
+                ts = [rng.random() for _ in names]
+                report = evaluate_operator(spec, Assignment.fuzzy(names, ts))
+                assert poly(*ts) == pytest.approx(report.aggregate.t, abs=1e-12)
+
+    def test_truth_polynomial_terms_by_degree_leading_plus_one(self):
+        polys = [op.truth_poly for op in knuth_registry()]
+        polys += [poly for _, poly in _random_polys(range(1, 9))]
+        for poly in polys:
+            keys = [(len(vs), vs) for _, vs in poly.terms]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            assert not poly.terms or poly.terms[0][0] == 1
+            assert not poly.text.startswith("-")
 
     def test_truth_polynomial_text_matches_coefficients(self):
         grid = [i / 4 for i in range(5)]
@@ -173,6 +239,11 @@ class TestRegistry:
                 for t2 in grid:
                     via_text = eval(op.truth_poly.text, {"t1": t1, "t2": t2})
                     assert op.truth_poly(t1, t2) == pytest.approx(via_text, abs=1e-15)
+        rng = random.Random(2)
+        for spec, poly in _random_polys(range(1, 5)):
+            ts = [rng.random() for _ in range(spec.n)]
+            env = {f"t{i + 1}": t for i, t in enumerate(ts)}
+            assert poly(*ts) == pytest.approx(eval(poly.text, env), abs=1e-12)
 
     def test_names_and_symbols(self):
         ops = knuth_registry()
