@@ -26,17 +26,7 @@ import json
 import sys
 from itertools import compress
 
-from .errors import (
-    ArityMismatch,
-    DisjointnessViolation,
-    DomainError,
-    LengthMismatch,
-    OracleTooLarge,
-    ParseError,
-    TooManyVariables,
-    UnknownVariable,
-    VerificationFailure,
-)
+from .errors import ArityMismatch, DomainError, ParseError, VennLogicError
 from .evaluate import (
     Assignment,
     evaluate_operator,
@@ -48,20 +38,6 @@ from .logic_core import FuzzyValue, PrevalenceOrder
 from .venn import mask_bits, part_labels
 
 DEFAULT_TABLE2_ASSIGN = "x=0.5,0.3,0.2;y=0.4,0.4,0.2"
-
-_USAGE_ERRORS = (
-    ParseError,
-    UnknownVariable,
-    ArityMismatch,
-    LengthMismatch,
-    TooManyVariables,
-)
-_NUMERIC_ERRORS = (
-    DomainError,
-    DisjointnessViolation,
-    OracleTooLarge,
-    VerificationFailure,
-)
 
 
 def _round12(x: float) -> float:
@@ -406,12 +382,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _USAGE_ERRORS as exc:
+    except VennLogicError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

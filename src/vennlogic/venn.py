@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 
-from .errors import DomainError, LengthMismatch, TooManyVariables
+from .errors import ArityMismatch, DomainError, LengthMismatch, TooManyVariables
 
 N_MAX = 20
 
@@ -225,6 +225,7 @@ class TruthPolynomial:
     its terms (c, vs) of c times the product of t_{i+1} for i in vs, the
     0-based variable indices.  Terms are listed by degree, then by index."""
 
+    n: int
     terms: tuple[tuple[int, tuple[int, ...]], ...]
 
     @classmethod
@@ -240,7 +241,7 @@ class TruthPolynomial:
                     coeffs[s] -= coeffs[s ^ bit]
         subsets = [tuple(i for i in range(n) if s >> i & 1) for s in range(1 << n)]
         order = sorted(range(1 << n), key=lambda s: (len(subsets[s]), subsets[s]))
-        return cls(tuple((coeffs[s], subsets[s]) for s in order if coeffs[s]))
+        return cls(n, tuple((coeffs[s], subsets[s]) for s in order if coeffs[s]))
 
     @property
     def text(self) -> str:
@@ -254,6 +255,8 @@ class TruthPolynomial:
         return " ".join(pieces[1:]) or "0"
 
     def __call__(self, *ts: float) -> float:
+        if len(ts) != self.n:
+            raise ArityMismatch(f"polynomial takes {self.n} values, got {len(ts)}")
         total = 0
         for c, vs in self.terms:
             for i in vs:

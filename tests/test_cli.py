@@ -5,7 +5,22 @@ import random
 
 import pytest
 
-from vennlogic import Part, cli, compile_expr, parse
+from vennlogic import (
+    ArityMismatch,
+    DisjointnessViolation,
+    DomainError,
+    LengthMismatch,
+    OracleTooLarge,
+    ParseError,
+    Part,
+    SelfTestFailure,
+    TooManyVariables,
+    UnknownVariable,
+    VerificationFailure,
+    cli,
+    compile_expr,
+    parse,
+)
 
 NEUTRO_ASSIGN = "x=0.5,0.3,0.2;y=0.4,0.4,0.2"
 
@@ -300,6 +315,32 @@ class TestErrorPaths:
             cli.main(["eval", "-e", "x"])
         assert info.value.code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ParseError, 2),
+        (UnknownVariable, 2),
+        (ArityMismatch, 2),
+        (LengthMismatch, 2),
+        (TooManyVariables, 2),
+        (DomainError, 3),
+        (DisjointnessViolation, 3),
+        (OracleTooLarge, 3),
+        (VerificationFailure, 3),
+        (SelfTestFailure, 4),
+    ],
+)
+def test_exit_code_lives_on_the_error_type(capsys, monkeypatch, error, code):
+    exc = error("boom", 0) if error is ParseError else error("boom")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_parts", fail)
+    assert error.exit_code == code
+    assert run(capsys, "parts", "2") == (code, "", f"error: {exc}\n")
 
 
 class TestTables:

@@ -26,6 +26,7 @@ from vennlogic import (
     VennLogicError,
     VerificationFailure,
     compile_expr,
+    complement,
     diagram_norm,
     enumerate_parts,
     evaluate_operator,
@@ -42,8 +43,9 @@ from vennlogic import (
     oracle_expand,
     parse,
 )
-from vennlogic import evaluate
-from vennlogic.evaluate import _columns, _neutro_detail
+from vennlogic import cli, evaluate
+from vennlogic.evaluate import _neutro_detail
+from vennlogic.venn import part_labels
 
 FUZZY_XY = Assignment.fuzzy(("x", "y"), (0.6, 0.3))
 NEUTRO_XY = Assignment.neutrosophic(
@@ -305,7 +307,8 @@ class TestNeutroOperators:
         # may differ in the last bits, so values agree within 1e-12 and a
         # failure raises the same exception class
         def every_part(spec, a, order):
-            columns = _columns([neutro_part_value(p, a, order) for p in enumerate_parts(spec.n)])
+            values = [neutro_part_value(p, a, order) for p in enumerate_parts(spec.n)]
+            columns = [[v.T for v in values], [v.I for v in values], [v.F for v in values]]
             return _neutro_detail(spec, a, columns)[0]
 
         rng = random.Random(2048)
@@ -586,6 +589,25 @@ class TestValueColumns:
         assert [p.mask for p, _ in report.part_values[:3]] == [0, 1, 2]
         assert built == [0, 1, 2]
 
+    def test_single_part_strategy_labels(self):
+        # a one-part side is labelled on its own; the label is still the
+        # part's entry of part_labels
+        rng = random.Random(1220)
+        for n in [*range(1, 13), 20]:
+            labels = part_labels(n)
+            masks = range(1 << n) if n <= 6 else rng.sample(range(1 << n), 6)
+            for kind in ("fuzzy", "neutrosophic"):
+                a = self._assignment(kind, n, n)
+                columns = evaluate_operator(OperatorSpec(n, 0), a).part_values.columns
+                for p in {0, (1 << n) - 1, *masks}:
+                    spec = OperatorSpec(n, 1 << p)
+                    if kind == "fuzzy":
+                        got = evaluate._fuzzy_detail(spec, a, columns)[1]
+                        assert got == f"part {labels[p]}", (n, p)
+                    elif n > 1:  # at n = 1 the complement of a part is a literal
+                        got = _neutro_detail(complement(spec), a, columns)[1]
+                        assert got == f"negated part {labels[p]}", (n, p)
+
     def test_part_values_view(self):
         a = self._assignment("neutrosophic", 4, 4)
         report = evaluate_operator(OperatorSpec(4, 0b0110_1001_1001_0110), a, TIF)
@@ -707,3 +729,111 @@ class TestCatalogRoute:
                     for row in neutro_operator_table(a, order)
                 ])
                 assert got == want, (triples, order.order)
+
+
+def _fuzzy_part_oracle(part, a):
+    # per-part reference for the fuzzy column oracle: a Part and a
+    # FuzzyValue for every part
+    truth = 1.0
+    miss = 1.0
+    for i, v in enumerate(a.values):
+        if part.mask >> i & 1:
+            truth *= v.t
+            miss *= 1.0 - v.f
+        else:
+            truth *= 1.0 - v.t
+            miss *= 1.0 - v.t
+    return FuzzyValue(truth, 1.0 - miss)
+
+
+def _reference_oracle(a, order):
+    """The brute-force part columns, valued part by part through Part and
+    value objects."""
+    parts = enumerate_parts(a.n)
+    if a.kind == "fuzzy":
+        values = [_fuzzy_part_oracle(p, a) for p in parts]
+    else:
+        values = [
+            oracle_expand(
+                [v if p.contains(i + 1) else neutro_neg(v) for i, v in enumerate(a.values)],
+                order,
+            )
+            for p in parts
+        ]
+    return [list(c) for c in zip(*(vars(v).values() for v in values))]
+
+
+class TestOracleColumns:
+    """Both oracle entries of evaluate_operator return float columns indexed
+    by part mask; the per-part reference gives the same floats bit for bit,
+    and the fuzzy entry builds no Part or value object."""
+
+    @staticmethod
+    def _hex(columns):
+        return [[x.hex() for x in c] for c in columns]
+
+    @staticmethod
+    def _delta(spec, a, order):
+        return evaluate_operator(spec, a, order, with_oracle=True).oracle_delta.hex()
+
+    def _check(self, monkeypatch, spec, a, order):
+        part_oracle = evaluate._LOGICS[a.kind][1]
+        got = self._hex(part_oracle(a, order))
+        assert got == self._hex(_reference_oracle(a, order))
+        delta = _outcome(self._delta, spec, a, order)
+        with monkeypatch.context() as m:
+            entry = list(evaluate._LOGICS[a.kind])
+            entry[1] = _reference_oracle
+            m.setitem(evaluate._LOGICS, a.kind, tuple(entry))
+            assert _outcome(self._delta, spec, a, order) == delta
+
+    def test_fuzzy_columns_match_the_part_oracle(self, monkeypatch):
+        rng = random.Random(1112)
+        for n in range(1, 13):
+            for _ in range(3):
+                spec = OperatorSpec(n, rng.getrandbits(1 << n))
+                truths = [rng.random() for _ in range(n)]
+                self._check(monkeypatch, spec, Assignment.fuzzy(_names(n), truths), TIF)
+                # explicit (t, f) pairs a little off t + f = 1 set the miss
+                # products apart from the truths
+                pairs = [FuzzyValue(t, 1.0 - t + rng.uniform(-1e-11, 1e-11)) for t in truths]
+                self._check(monkeypatch, spec, Assignment(tuple(_names(n)), tuple(pairs)), TIF)
+
+    def test_neutro_columns_match_the_part_oracle(self, monkeypatch):
+        rng = random.Random(1113)
+        for n in range(1, 8):
+            for order in (TIF, ITF, TFI):
+                spec = OperatorSpec(n, rng.getrandbits(1 << n))
+                a = Assignment.neutrosophic(_names(n), _triples(rng, n))
+                self._check(monkeypatch, spec, a, order)
+
+    def test_fuzzy_drift_raises_the_first_parts_error(self):
+        # pairs 0.9e-9 off t + f = 1 pass one at a time, but twelve of them
+        # push a part's truth and falsehood past the value type's tolerance
+        names = _names(12)
+        a = Assignment(names, [FuzzyValue(0.999, 1 - 0.999 - 0.9e-9)] * 12)
+        with pytest.raises(DomainError) as want:
+            _reference_oracle(a, TIF)
+        with pytest.raises(DomainError) as got:
+            evaluate_operator(OperatorSpec(12, 0b0110), a, with_oracle=True)
+        assert str(got.value) == str(want.value)
+
+    def test_oracle_builds_no_part(self, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("a Part was built")
+
+        monkeypatch.setattr(Part, "__post_init__", refuse)
+        rng = random.Random(1716)
+        for kind, n in (("fuzzy", 16), ("neutrosophic", 7)):
+            if kind == "fuzzy":
+                a = Assignment.fuzzy(_names(n), [rng.random() for _ in range(n)])
+            else:
+                a = Assignment.neutrosophic(_names(n), _triples(rng, n))
+            spec = compile_expr(parse(" ^ ".join(_names(n))), _names(n))
+            report = evaluate_operator(spec, a, with_oracle=True)
+            assert report.oracle_delta <= 1e-12, kind
+        assign = ";".join(f"{name}={rng.random()}" for name in _names(12))
+        for fmt in ("json", "csv", "markdown"):
+            argv = ["eval", "-e", " ^ ".join(_names(12)), "-a", assign, "--oracle"]
+            rc = cli.main([*argv, "--format", fmt])
+            assert (rc, capsys.readouterr().err) == (0, ""), fmt

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vennlogic import (
+    ArityMismatch,
     Assignment,
     DomainError,
     LengthMismatch,
@@ -213,6 +214,15 @@ class TestRegistry:
             for p in range(spec.part_count):
                 corner = [float(p >> i & 1) for i in range(spec.n)]
                 assert poly(*corner) == float(spec.is_shaded(p)), (spec, p)
+
+    def test_truth_polynomial_takes_n_values(self):
+        poly = knuth_registry()[1].truth_poly
+        assert poly.n == 2 and poly(0.5, 0.5) == 0.25
+        for ts in ((0.5, 0.5, 0.9), (0.5,)):
+            with pytest.raises(ArityMismatch, match=f"polynomial takes 2 values, got {len(ts)}"):
+                poly(*ts)
+        for spec, poly in _random_polys(range(1, 7)):
+            assert poly.n == spec.n
 
     def test_truth_polynomials_match_fuzzy_aggregate(self):
         rng = random.Random(1)
