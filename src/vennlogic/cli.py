@@ -11,7 +11,9 @@ Usage:
 
 Assignments are name=value entries joined by ';'.  Fuzzy values take a bare
 truth (falsehood is its complement) or an explicit "t,f" pair; neutrosophic
-values take all three components "T,I,F"; boolean values take 0 or 1.
+values take all three components "T,I,F"; boolean values take 0 or 1.  Every
+component lies in [0, 1], with no slack, and a pair within 1e-9 of t + f = 1:
+Assignment.fuzzy and Assignment.neutrosophic check that, not this module.
 
 Exit codes: 0 success, 2 usage or syntax error, 3 numeric precondition
 violation, 4 selftest failure.
@@ -26,7 +28,7 @@ import json
 import sys
 from itertools import compress
 
-from .errors import ArityMismatch, DomainError, ParseError, VennLogicError
+from .errors import ArityMismatch, ParseError, VennLogicError
 from .evaluate import (
     Assignment,
     evaluate_operator,
@@ -34,7 +36,7 @@ from .evaluate import (
     neutro_operator_table,
 )
 from .expr import compile_expr, parse
-from .logic_core import FuzzyValue, PrevalenceOrder
+from .logic_core import PrevalenceOrder
 from .venn import mask_bits, part_labels
 
 DEFAULT_TABLE2_ASSIGN = "x=0.5,0.3,0.2;y=0.4,0.4,0.2"
@@ -84,9 +86,12 @@ def _parse_vars(text: str) -> tuple[str, ...]:
     return names
 
 
-def _parse_assignment(text: str, logic: str) -> Assignment:
-    names: list[str] = []
-    rows: list[list[float]] = []
+def _parse_assignment(
+    text: str, logic: str, vars_text: str | None = None
+) -> Assignment:
+    """Split name=value entries into floats and hand them, in the -v order of
+    vars_text if given, to the logic's Assignment constructor, which checks them."""
+    entries = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -103,51 +108,29 @@ def _parse_assignment(text: str, logic: str) -> Assignment:
                 0,
                 {"number"},
             ) from None
-        names.append(name)
-        rows.append(comps)
-    if not names:
+        entries.append((name, comps))
+    rows = dict(entries)
+    if not rows:
         raise ParseError("empty assignment", 0, {"name=value"})
-    if len(set(names)) != len(names):
+    if len(rows) != len(entries):
         raise ArityMismatch("duplicate variable names in assignment")
-
-    if logic == "neutrosophic":
-        return Assignment.neutrosophic(names, rows)
-
-    values = []
-    for name, comps in zip(names, rows):
-        if logic == "boolean":
-            if len(comps) != 1 or comps[0] not in (0.0, 1.0):
-                raise ArityMismatch(f"variable {name!r}: boolean values are 0 or 1")
-            values.append(FuzzyValue.from_truth(comps[0]))
-        elif len(comps) == 1:
-            if not 0.0 <= comps[0] <= 1.0:
-                raise DomainError(
-                    f"variable {name!r}: truth {comps[0]!r} outside [0, 1]"
-                )
-            values.append(FuzzyValue.from_truth(comps[0]))
-        elif len(comps) == 2:
-            try:
-                values.append(FuzzyValue(comps[0], comps[1]))
-            except DomainError as exc:
-                raise DomainError(f"variable {name!r}: {exc}") from None
-        else:
-            raise ArityMismatch(f"variable {name!r}: fuzzy values take t or t,f")
-    return Assignment(tuple(names), tuple(values))
-
-
-def _ordered_assignment(a: Assignment, var_names) -> Assignment:
-    if tuple(var_names) == a.names:
-        return a
-    missing = [name for name in var_names if name not in a.names]
-    extra = [name for name in a.names if name not in var_names]
+    names = _parse_vars(vars_text) if vars_text else tuple(rows)
+    missing = [name for name in names if name not in rows]
+    extra = [name for name in rows if name not in names]
     if missing or extra:
         raise ArityMismatch(
             "assignment does not match declared variables"
             + (f", missing: {', '.join(missing)}" if missing else "")
             + (f", unexpected: {', '.join(extra)}" if extra else "")
         )
-    lookup = dict(zip(a.names, a.values))
-    return Assignment(tuple(var_names), tuple(lookup[n] for n in var_names))
+    values = [rows[name] for name in names]
+    if logic == "neutrosophic":
+        return Assignment.neutrosophic(names, values)
+    if logic == "boolean":
+        for name, comps in zip(names, values):
+            if comps not in ([0.0], [1.0]):
+                raise ArityMismatch(f"variable {name!r}: boolean values are 0 or 1")
+    return Assignment.fuzzy(names, values)
 
 
 def cmd_codify(args) -> int:
@@ -181,10 +164,8 @@ def cmd_codify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    assignment = _parse_assignment(args.assign, args.logic)
-    names = _parse_vars(args.vars) if args.vars else assignment.names
-    assignment = _ordered_assignment(assignment, names)
-    spec = compile_expr(parse(args.expr), names)
+    assignment = _parse_assignment(args.assign, args.logic, args.vars)
+    spec = compile_expr(parse(args.expr), assignment.names)
     order = PrevalenceOrder.from_string(args.order)
     report = evaluate_operator(spec, assignment, order=order, with_oracle=args.oracle)
     fields = tuple(vars(report.aggregate))
@@ -194,7 +175,7 @@ def cmd_eval(args) -> int:
         _emit_json(
             {
                 "expression": args.expr,
-                "vars": list(names),
+                "vars": list(assignment.names),
                 "logic": args.logic,
                 "order": str(order),
                 "index": spec.shaded,

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import compress, product, repeat
+from itertools import chain, compress, product, repeat
 from math import fsum, isfinite, prod
 from operator import add, sub
 
@@ -36,6 +36,7 @@ from .venn import (
 )
 
 Value = FuzzyValue | NeutrosophicValue
+_KINDS = (frozenset({FuzzyValue}), frozenset({NeutrosophicValue}))
 
 ORACLE_MAX_K = 12
 _ORACLE_TAIL = 7  # operands oracle_expand expands as lists
@@ -59,11 +60,8 @@ class Assignment:
             raise DomainError("duplicate variable names in assignment")
         if len(values) != len(names):
             raise ArityMismatch(f"{len(names)} variable names but {len(values)} values")
-        kinds = {type(v) for v in values}
-        if kinds not in ({FuzzyValue}, {NeutrosophicValue}):
-            raise ArityMismatch(
-                "assignment values must be all fuzzy or all neutrosophic"
-            )
+        if set(map(type, values)) not in _KINDS:
+            raise ArityMismatch("assignment values must be all fuzzy or all neutrosophic")
 
     @property
     def kind(self) -> str:
@@ -74,24 +72,43 @@ class Assignment:
         return len(self.names)
 
     @classmethod
-    def fuzzy(cls, names: Sequence[str], truths: Sequence[float]) -> "Assignment":
-        return cls(tuple(names), tuple(FuzzyValue.from_truth(t) for t in truths))
+    def fuzzy(cls, names: Sequence[str], values) -> "Assignment":
+        """Fuzzy values, each a truth t (falsehood 1 - t) or a (t, f) pair: every
+        component in [0, 1], with no slack, and a pair within 1e-9 of t + f = 1."""
+        names, labels = tuple(names), ("truth ", "falsehood ")
+        rows = _unit_rows(names, values, {1, 2}, "fuzzy values take t or t,f", labels)
+        pairs = []
+        try:
+            for row in rows:
+                t = row[0]
+                pairs.append(FuzzyValue(t, row[1] if len(row) == 2 else 1.0 - t))
+        except DomainError as exc:
+            raise DomainError(f"variable {names[len(pairs)]!r}: {exc}") from None
+        return cls(names, pairs)
 
     @classmethod
     def neutrosophic(cls, names, triples) -> "Assignment":
-        names, triples = tuple(names), [tuple(t) for t in triples]
-        for name, triple in zip(names, triples):
-            if len(triple) != 3:
-                raise ArityMismatch(
-                    f"variable {name!r}: neutrosophic values need T,I,F"
-                )
-        for name, triple in zip(names, triples):
-            for channel, x in zip("TIF", triple):
-                if not 0.0 <= x <= 1.0:
-                    raise DomainError(
-                        f"variable {name!r}: {channel}={x!r} outside [0, 1]"
-                    )
-        return cls(names, tuple(NeutrosophicValue(*t) for t in triples))
+        """Three-component values, each a (T, I, F) triple with every component
+        in [0, 1], with no slack."""
+        names, labels = tuple(names), ("T=", "I=", "F=")
+        rows = _unit_rows(names, triples, {3}, "neutrosophic values need T,I,F", labels)
+        return cls(names, tuple(NeutrosophicValue(*t) for t in rows))
+
+
+def _unit_rows(names, values, counts, usage, labels) -> list[tuple]:
+    """Each value's components as a tuple, all counts checked before all ranges."""
+    rows = [tuple(v) if hasattr(v, "__iter__") else (v,) for v in values]
+    if len(rows) != len(names):
+        raise ArityMismatch(f"{len(names)} variable names but {len(rows)} values")
+    if not counts.issuperset(map(len, rows)):
+        name = next(n for n, row in zip(names, rows) if len(row) not in counts)
+        raise ArityMismatch(f"variable {name!r}: {usage}")
+    for name, row in zip(names, rows):
+        for x in row:
+            if not 0.0 <= x <= 1.0:
+                label = labels[row.index(x)]  # the components before x are in range
+                raise DomainError(f"variable {name!r}: {label}{x!r} outside [0, 1]")
+    return rows
 
 
 def diagram_norm(a: Assignment) -> float:

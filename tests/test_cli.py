@@ -2,11 +2,13 @@
 
 import json
 import random
+import time
 
 import pytest
 
 from vennlogic import (
     ArityMismatch,
+    Assignment,
     DisjointnessViolation,
     DomainError,
     LengthMismatch,
@@ -16,6 +18,7 @@ from vennlogic import (
     SelfTestFailure,
     TooManyVariables,
     UnknownVariable,
+    VennLogicError,
     VerificationFailure,
     cli,
     compile_expr,
@@ -315,6 +318,86 @@ class TestErrorPaths:
             cli.main(["eval", "-e", "x"])
         assert info.value.code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0.5", "0", "1", "-0.0", "1.0000000001", "-1e-12", "nan", "inf",
+        "0.5,0.5", "0.5,0.9", "1.0000000001,0", "0.5,0.3,0.2", "0.4,0.4",
+        "0.5,1.5,0.2",
+    ],
+)
+@pytest.mark.parametrize("logic", ["boolean", "fuzzy", "neutrosophic"])
+def test_cli_and_library_share_one_input_rule(capsys, logic, text):
+    # the CLI only splits the text; the exit code and message are those of the
+    # library constructor given the same components (boolean values first
+    # pass the CLI's 0/1 check)
+    comps = [float(c) for c in text.split(",")]
+    try:
+        if logic == "neutrosophic":
+            Assignment.neutrosophic(("x",), [comps])
+        elif logic == "fuzzy" or comps in ([0.0], [1.0]):
+            Assignment.fuzzy(("x",), [comps])
+        else:
+            raise ArityMismatch("variable 'x': boolean values are 0 or 1")
+        want = (0, "")
+    except VennLogicError as exc:
+        want = (exc.exit_code, f"error: {exc}\n")
+    rc, _, err = run(capsys, "eval", "-e", "x", "-a", f"x={text}", "--logic", logic)
+    assert (rc, err) == want
+
+
+def _xor_chain(n, value):
+    names = [f"x{i}" for i in range(n)]
+    return " ^ ".join(names), ";".join(f"{name}={value}" for name in names)
+
+
+class TestLargeN:
+    @pytest.mark.parametrize("n", [14, 16])
+    @pytest.mark.parametrize(
+        "logic, value",
+        [("fuzzy", "0.6"), ("fuzzy", "0.6,0.4"), ("neutrosophic", "0.5,0.3,0.2")],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_eval_prints_every_part(self, capsys, n, logic, value, fmt):
+        expr, assign = _xor_chain(n, value)
+        start = time.perf_counter()
+        rc, out, err = run(
+            capsys, "eval", "-e", expr, "-a", assign, "--logic", logic, "--format", fmt
+        )
+        elapsed = time.perf_counter() - start
+        assert rc == 0, err
+        table = out.splitlines() if fmt == "csv" else [
+            line for line in out.splitlines() if line.startswith("|")
+        ]
+        # header (and the markdown rule), then one row per part and the aggregate
+        rows = table[1 if fmt == "csv" else 2:]
+        assert len(rows) == 2**n + 1
+        assert rows[-1].startswith("aggregate" if fmt == "csv" else "| aggregate")
+        assert elapsed < 10.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="the decimal index of the n = 14 xor chain has more than 4,300 "
+        "digits, past CPython's int-to-str conversion limit",
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("codify", "--format", "json"),
+            ("codify", "--format", "csv"),
+            ("codify", "--format", "markdown"),
+            ("eval", "--format", "json"),
+        ],
+        ids=["codify-json", "codify-csv", "codify-markdown", "eval-json"],
+    )
+    def test_decimal_index_crashes_at_14(self, capsys, argv):
+        expr, assign = _xor_chain(14, "0.6")
+        names = ",".join(f"x{i}" for i in range(14))
+        operand = ("-v", names) if argv[0] == "codify" else ("-a", assign)
+        run(capsys, argv[0], "-e", expr, *operand, *argv[1:])
 
 
 @pytest.mark.parametrize(

@@ -117,6 +117,40 @@ class TestAssignment:
         with pytest.raises(ArityMismatch, match="'y'.*T,I,F"):
             Assignment.neutrosophic(("x", "y"), ((0.5, 0.3, 0.2), (0.4, 0.4)))
 
+    def test_fuzzy_takes_truths_and_pairs(self):
+        a = Assignment.fuzzy(("x", "y", "z"), (0.6, (0.3, 0.7), [0.25]))
+        assert a.values == (
+            FuzzyValue(0.6, 0.4), FuzzyValue(0.3, 0.7), FuzzyValue(0.25, 0.75)
+        )
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (1.0000000001, "truth 1.0000000001 outside"),
+            (-1e-12, "truth -1e-12 outside"),
+            (float("nan"), "truth nan outside"),
+            ((1.0000000001, 0.0), "truth 1.0000000001 outside"),
+            ((0.5, 1.5), "falsehood 1.5 outside"),
+            ((0.5, 0.9), "fuzzy value needs t \\+ f = 1"),
+        ],
+    )
+    def test_fuzzy_range_without_slack_names_variable(self, value, message):
+        with pytest.raises(DomainError, match=f"^variable 'y': {message}"):
+            Assignment.fuzzy(("x", "y"), (0.5, value))
+
+    def test_fuzzy_component_count_names_variable(self):
+        message = "^variable 'y': fuzzy values take t or t,f$"
+        with pytest.raises(ArityMismatch, match=message):
+            Assignment.fuzzy(("x", "y"), (0.5, (0.5, 0.3, 0.2)))
+
+    def test_counts_before_ranges(self):
+        with pytest.raises(ArityMismatch, match="'y'"):
+            Assignment.fuzzy(("x", "y"), (1.5, ()))
+        with pytest.raises(ArityMismatch, match="'y'"):
+            Assignment.neutrosophic(("x", "y"), ((1.5, 0.3, 0.2), 0.4))
+        with pytest.raises(ArityMismatch, match="1 variable names but 2 values"):
+            Assignment.fuzzy(("x",), (0.5, 7.0))
+
     def test_kind_and_n(self):
         assert FUZZY_XY.kind == "fuzzy" and FUZZY_XY.n == 2
         assert NEUTRO_XY.kind == "neutrosophic" and NEUTRO_XY.n == 2
