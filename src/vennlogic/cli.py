@@ -81,8 +81,6 @@ def _parse_vars(text: str) -> tuple[str, ...]:
     names = tuple(name.strip() for name in text.split(","))
     if any(not name for name in names):
         raise ParseError(f"bad variable list {text!r}", 0, {"name"})
-    if len(set(names)) != len(names):
-        raise ArityMismatch("duplicate variable names")
     return names
 
 
@@ -114,7 +112,7 @@ def _parse_assignment(
         raise ParseError("empty assignment", 0, {"name=value"})
     if len(rows) != len(entries):
         raise ArityMismatch("duplicate variable names in assignment")
-    names = _parse_vars(vars_text) if vars_text else tuple(rows)
+    names = tuple(rows) if vars_text is None else _parse_vars(vars_text)
     missing = [name for name in names if name not in rows]
     extra = [name for name in rows if name not in names]
     if missing or extra:
@@ -260,8 +258,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_parts(args) -> int:
-    if args.n < 1:
-        raise ArityMismatch(f"need at least one variable, got n={args.n}")
     rows = list(zip(part_labels(args.n), range(1 << args.n)))
     if args.format == "json":
         parts = [{"label": label, "mask": mask} for label, mask in rows]

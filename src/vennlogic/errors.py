@@ -38,8 +38,9 @@ class UnknownVariable(VennLogicError):
     exit_code = 2
 
 
-class ArityMismatch(VennLogicError):
-    """An assignment does not fit the diagram or logic it is used with."""
+class ArityMismatch(VennLogicError, ValueError):
+    """Variables that do not fit together: n < 1, an empty or repeated name
+    list, or an assignment that does not fit its diagram or logic."""
 
     exit_code = 2
 

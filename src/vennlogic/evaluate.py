@@ -55,9 +55,9 @@ class Assignment:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "values", values)
         if not names:
-            raise DomainError("assignment needs at least one variable")
+            raise ArityMismatch("assignment needs at least one variable")
         if len(set(names)) != len(names):
-            raise DomainError("duplicate variable names in assignment")
+            raise ArityMismatch("duplicate variable names in assignment")
         if len(values) != len(names):
             raise ArityMismatch(f"{len(names)} variable names but {len(values)} values")
         if set(map(type, values)) not in _KINDS:
@@ -73,15 +73,18 @@ class Assignment:
 
     @classmethod
     def fuzzy(cls, names: Sequence[str], values) -> "Assignment":
-        """Fuzzy values, each a truth t (falsehood 1 - t) or a (t, f) pair: every
-        component in [0, 1], with no slack, and a pair within 1e-9 of t + f = 1."""
+        """Fuzzy values, each a truth t or a (t, f) pair: every component in
+        [0, 1], with no slack, and a pair within 1e-9 of t + f = 1.  A pair is
+        checked, then kept as its truth, FuzzyValue(t, 1 - t), as a bare t is."""
         names, labels = tuple(names), ("truth ", "falsehood ")
         rows = _unit_rows(names, values, {1, 2}, "fuzzy values take t or t,f", labels)
         pairs = []
         try:
             for row in rows:
+                if len(row) == 2:
+                    FuzzyValue(*row)
                 t = row[0]
-                pairs.append(FuzzyValue(t, row[1] if len(row) == 2 else 1.0 - t))
+                pairs.append(FuzzyValue(t, 1.0 - t))
         except DomainError as exc:
             raise DomainError(f"variable {names[len(pairs)]!r}: {exc}") from None
         return cls(names, pairs)

@@ -29,7 +29,7 @@ from itertools import islice
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import DomainError, ParseError, UnknownVariable
+from .errors import ArityMismatch, DomainError, ParseError, UnknownVariable
 from .venn import OperatorSpec, _check_n, projection_mask
 
 BOOL_OPS: dict[str, Callable[[bool, bool], bool]] = {
@@ -432,10 +432,8 @@ def compile_expr(e: Expr, var_names: Sequence[str]) -> OperatorSpec:
     unused variables are fine; the shading is then symmetric in them.
     """
     names = list(var_names)
-    if not names:
-        raise DomainError("need at least one variable")
     if len(set(names)) != len(names):
-        raise DomainError("duplicate variable names")
+        raise ArityMismatch("duplicate variable names")
     _check_n(len(names))
     n = len(names)
     masks = {name: projection_mask(n, i) for i, name in enumerate(names)}

@@ -27,7 +27,7 @@ Columns = Sequence[Sequence[float]]
 
 def _check_n(n: int) -> None:
     if n < 1:
-        raise DomainError(f"need at least one variable, got n={n}")
+        raise ArityMismatch(f"need at least one variable, got n={n}")
     if n > N_MAX:
         raise TooManyVariables(f"n={n} exceeds the supported maximum of {N_MAX}")
 

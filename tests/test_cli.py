@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import time
 
 import pytest
@@ -11,7 +12,9 @@ from vennlogic import (
     Assignment,
     DisjointnessViolation,
     DomainError,
+    FuzzyValue,
     LengthMismatch,
+    OperatorSpec,
     OracleTooLarge,
     ParseError,
     Part,
@@ -22,8 +25,10 @@ from vennlogic import (
     VerificationFailure,
     cli,
     compile_expr,
+    enumerate_parts,
     parse,
 )
+from vennlogic.venn import part_labels
 
 NEUTRO_ASSIGN = "x=0.5,0.3,0.2;y=0.4,0.4,0.2"
 
@@ -255,6 +260,7 @@ class TestErrorPaths:
             ("codify", "-e", "x", "-v", "x,x"),
             ("eval", "-e", "x", "-v", "x,x", "-a", "x=0.5"),
             ("eval", "-e", "x", "-a", "x=0.5;x=0.3"),
+            ("eval", "-e", "x", "-a", "x=0.5", "-v", ""),
         ],
     )
     def test_bad_arguments_are_usage(self, capsys, argv):
@@ -346,6 +352,156 @@ def test_cli_and_library_share_one_input_rule(capsys, logic, text):
         want = (exc.exit_code, f"error: {exc}\n")
     rc, _, err = run(capsys, "eval", "-e", "x", "-a", f"x={text}", "--logic", logic)
     assert (rc, err) == want
+
+
+@pytest.mark.parametrize(
+    "call, argv, message",
+    [
+        pytest.param(
+            lambda: compile_expr(parse("x"), ["x", "x"]),
+            ("codify", "-e", "x", "-v", "x,x"),
+            "duplicate variable names",
+            id="repeated-codify",
+        ),
+        pytest.param(
+            lambda: Assignment.fuzzy(("x", "x"), (0.5, 0.5)),
+            ("eval", "-e", "x", "-a", "x=0.5", "-v", "x,x"),
+            "duplicate variable names in assignment",
+            id="repeated-eval",
+        ),
+        pytest.param(
+            lambda: Assignment(("x", "x"), (FuzzyValue(0.5, 0.5),) * 2),
+            None,
+            "duplicate variable names in assignment",
+            id="repeated-Assignment",
+        ),
+        pytest.param(
+            lambda: compile_expr(parse("x"), []),
+            None,
+            "need at least one variable, got n=0",
+            id="empty-compile_expr",
+        ),
+        pytest.param(
+            lambda: Assignment.fuzzy((), ()),
+            None,
+            "assignment needs at least one variable",
+            id="empty-Assignment.fuzzy",
+        ),
+        pytest.param(
+            None,
+            ("codify", "-e", "x", "-v", ""),
+            "bad variable list '' (offset 0)",
+            id="empty-codify",
+        ),
+        pytest.param(
+            None,
+            ("eval", "-e", "x", "-a", "x=0.5", "-v", ""),
+            "bad variable list '' (offset 0)",
+            id="empty-eval",
+        ),
+        pytest.param(
+            lambda: part_labels(0),
+            ("parts", "0"),
+            "need at least one variable, got n=0",
+            id="n0-parts",
+        ),
+        pytest.param(
+            lambda: Part(0, 0),
+            None,
+            "need at least one variable, got n=0",
+            id="n0-Part",
+        ),
+        pytest.param(
+            lambda: OperatorSpec(0, 0),
+            None,
+            "need at least one variable, got n=0",
+            id="n0-OperatorSpec",
+        ),
+        pytest.param(
+            lambda: enumerate_parts(0),
+            None,
+            "need at least one variable, got n=0",
+            id="n0-enumerate_parts",
+        ),
+        pytest.param(
+            lambda: Part(21, 0),
+            ("parts", "21"),
+            "n=21 exceeds the supported maximum of 20",
+            id="n21-parts",
+        ),
+    ],
+)
+def test_usage_fault_exits_2_from_both_doors(capsys, call, argv, message):
+    # repeated names, empty name lists and n outside 1..N_MAX are usage
+    # faults: the library raises them with exit code 2, and the command line
+    # prints the library's message and exits 2 without a check of its own
+    if call is not None:
+        with pytest.raises(VennLogicError) as info:
+            call()
+        assert (info.value.exit_code, str(info.value)) == (2, message)
+    if argv is not None:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_arity_mismatch_is_a_value_error():
+    # these faults raised DomainError, a ValueError, before they were usage
+    # faults; callers catching ValueError still catch them
+    assert issubclass(ArityMismatch, ValueError)
+
+
+def _random_eval_argv(rng, n, logic, order, fmt):
+    names = [f"x{i}" for i in range(n)]
+    expr = names[0]
+    for name in rng.sample(names, n)[1:] + rng.choices(names, k=n):
+        op = rng.choice(["&", "|", "^", "->", "<->"])
+        expr = f"({expr} {op} {rng.choice(['', '!'])}{name})"
+    if logic == "neutrosophic":
+        values = [",".join(repr(rng.random()) for _ in "TIF") for _ in names]
+    else:
+        # bare truths, and pairs that sit up to 1e-9 off t + f = 1
+        ts = [rng.random() for _ in names]
+        fs = [1 - t + rng.uniform(-1e-9, 1e-9) for t in ts]
+        pairs = zip(ts, fs)
+        values = [repr(t) if rng.random() < 0.3 else f"{t!r},{f!r}" for t, f in pairs]
+    assign = ";".join(f"{name}={v}" for name, v in zip(names, values))
+    return [
+        "eval", "-e", expr, "-a", assign,
+        "--logic", logic, "--order", order, "--format", fmt,
+    ]
+
+
+def _without_oracle_delta(out):
+    out = re.sub(r'"oracle_delta": [^,}]*', '"oracle_delta": null', out)
+    return re.sub(r"oracle delta: .*\n", "", out)
+
+
+def test_oracle_never_changes_the_outcome(capsys):
+    # --oracle recomputes the part values and the aggregate; whatever it
+    # finds, the exit code, the error and the rest of the output stay those
+    # of the run without it
+    rng = random.Random(1313)
+    outcomes = set()
+    for n in range(1, 8):
+        for logic in ("fuzzy", "neutrosophic"):
+            for k in range(3):
+                order = ("TIF", "ITF", "TFI")[(n + k) % 3]
+                fmt = ("json", "csv", "markdown")[(n + 2 * k) % 3]
+                argv = _random_eval_argv(rng, n, logic, order, fmt)
+                rc, out, err = run(capsys, *argv)
+                rc_o, out_o, err_o = run(capsys, *argv, "--oracle")
+                assert (rc_o, err_o) == (rc, err), argv
+                assert _without_oracle_delta(out_o) == _without_oracle_delta(out), argv
+                outcomes.add(rc)
+    assert outcomes == {0, 3}
+
+
+def test_oracle_accepts_pairs_the_evaluation_accepts(capsys):
+    # twelve pairs each 0.9e-9 off t + f = 1 once drove the oracle's products
+    # past the 1e-9 tolerance; a pair is now kept as its truth
+    expr, assign = _xor_chain(12, "0.999,0.0009999991000000008")
+    assert run(capsys, "eval", "-e", expr, "-a", assign)[0] == 0
+    payload = run_json(capsys, "eval", "-e", expr, "-a", assign, "--oracle")
+    assert payload["oracle_delta"] <= 1e-12
 
 
 def _xor_chain(n, value):

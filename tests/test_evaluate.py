@@ -45,7 +45,7 @@ from vennlogic import (
 )
 from vennlogic import cli, evaluate
 from vennlogic.evaluate import _neutro_detail
-from vennlogic.venn import part_labels
+from vennlogic.venn import N_MAX, mask_bits, part_labels
 
 FUZZY_XY = Assignment.fuzzy(("x", "y"), (0.6, 0.3))
 NEUTRO_XY = Assignment.neutrosophic(
@@ -90,7 +90,7 @@ def _outcome(f, *args):
 
 class TestAssignment:
     def test_duplicate_names(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ArityMismatch, match="duplicate variable names"):
             Assignment.fuzzy(("x", "x"), (0.5, 0.5))
 
     def test_length_mismatch(self):
@@ -577,6 +577,17 @@ class TestTables:
             )
 
 
+def _boole_fold(bits, ts):
+    """The multilinear extension of the truth table bits at ts by Boole's
+    expansion, f <- (1 - t_k) f|x_k=0 + t_k f|x_k=1, from the last variable
+    down: bit k of p is x_k, so the lower half of the list has x_k = 0."""
+    f = list(bits)
+    for t in reversed(ts):
+        half = len(f) // 2
+        f = [(1 - t) * lo + t * hi for lo, hi in zip(f[:half], f[half:])]
+    return f[0]
+
+
 class TestValueColumns:
     """evaluate_operator works on float columns indexed by part mask; Part
     and value objects appear only when part_values is read."""
@@ -622,6 +633,20 @@ class TestValueColumns:
         assert built == []
         assert [p.mask for p, _ in report.part_values[:3]] == [0, 1, 2]
         assert built == [0, 1, 2]
+
+    def test_fuzzy_aggregate_matches_boole_fold(self):
+        # a second O(2^n) route to the aggregate truth, sharing no code with
+        # the Kronecker products and fsums: random masks at n = 1..16, and the
+        # xor chain and a random mask at N_MAX
+        rng = random.Random(4013)
+        cases = [(n, rng.getrandbits(1 << n)) for n in range(1, 17)]
+        chain = compile_expr(parse(" ^ ".join(_names(N_MAX))), _names(N_MAX))
+        cases += [(N_MAX, chain.shaded), (N_MAX, rng.getrandbits(1 << N_MAX))]
+        for n, mask in cases:
+            ts = [rng.random() for _ in range(n)]
+            a = Assignment.fuzzy(_names(n), ts)
+            got = evaluate_operator(OperatorSpec(n, mask), a).aggregate.t
+            assert abs(got - _boole_fold(mask_bits(n, mask), ts)) <= 1e-12, n
 
     def test_single_part_strategy_labels(self):
         # a one-part side is labelled on its own; the label is still the

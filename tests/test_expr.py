@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from vennlogic import (
     BOOL_OPS,
+    ArityMismatch,
     BinOp,
     Const,
     DomainError,
@@ -253,9 +254,9 @@ class TestCompile:
         assert spec == OperatorSpec(3, 0b10101010)
 
     def test_bad_variable_lists(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ArityMismatch, match="at least one variable"):
             compile_expr(x, [])
-        with pytest.raises(DomainError):
+        with pytest.raises(ArityMismatch, match="duplicate variable names"):
             compile_expr(x, ["x", "x"])
         with pytest.raises(UnknownVariable):
             compile_expr(parse("x & q"), ["x", "y"])

@@ -122,7 +122,7 @@ class TestPart:
             Part(2, -1)
 
     def test_variable_count_bounds(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ArityMismatch):
             Part(0, 0)
         with pytest.raises(TooManyVariables):
             Part(21, 0)
@@ -273,7 +273,7 @@ class TestPartColumns:
             assert part_labels(n) == [Part(n, p).label() for p in range(1 << n)]
 
     def test_part_labels_reject_bad_n(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ArityMismatch):
             part_labels(0)
         with pytest.raises(TooManyVariables):
             part_labels(21)
