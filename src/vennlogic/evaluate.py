@@ -54,12 +54,7 @@ class Assignment:
         values = tuple(self.values)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "values", values)
-        if not names:
-            raise ArityMismatch("assignment needs at least one variable")
-        if len(set(names)) != len(names):
-            raise ArityMismatch("duplicate variable names in assignment")
-        if len(values) != len(names):
-            raise ArityMismatch(f"{len(names)} variable names but {len(values)} values")
+        _check_names(names, len(values))
         if set(map(type, values)) not in _KINDS:
             raise ArityMismatch("assignment values must be all fuzzy or all neutrosophic")
 
@@ -86,6 +81,7 @@ class Assignment:
                 t = row[0]
                 pairs.append(FuzzyValue(t, 1.0 - t))
         except DomainError as exc:
+            _check_names(names, len(rows))
             raise DomainError(f"variable {names[len(pairs)]!r}: {exc}") from None
         return cls(names, pairs)
 
@@ -98,17 +94,28 @@ class Assignment:
         return cls(names, tuple(NeutrosophicValue(*t) for t in rows))
 
 
+def _check_names(names: tuple, count: int) -> None:
+    """The usage faults of a name list given count values."""
+    if not names:
+        raise ArityMismatch("assignment needs at least one variable")
+    if len(set(names)) != len(names):
+        raise ArityMismatch("duplicate variable names in assignment")
+    if count != len(names):
+        raise ArityMismatch(f"{len(names)} variable names but {count} values")
+
+
 def _unit_rows(names, values, counts, usage, labels) -> list[tuple]:
-    """Each value's components as a tuple, all counts checked before all ranges."""
+    """Each value's components as a tuple.  Faults: names, then counts, then
+    ranges; names are checked here only on a fault (Assignment does on success)."""
     rows = [tuple(v) if hasattr(v, "__iter__") else (v,) for v in values]
-    if len(rows) != len(names):
-        raise ArityMismatch(f"{len(names)} variable names but {len(rows)} values")
-    if not counts.issuperset(map(len, rows)):
+    if len(rows) != len(names) or not counts.issuperset(map(len, rows)):
+        _check_names(names, len(rows))
         name = next(n for n, row in zip(names, rows) if len(row) not in counts)
         raise ArityMismatch(f"variable {name!r}: {usage}")
     for name, row in zip(names, rows):
         for x in row:
             if not 0.0 <= x <= 1.0:
+                _check_names(names, len(rows))
                 label = labels[row.index(x)]  # the components before x are in range
                 raise DomainError(f"variable {name!r}: {label}{x!r} outside [0, 1]")
     return rows

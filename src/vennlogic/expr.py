@@ -10,6 +10,10 @@ Grammar, loosest to tightest binding::
     unary := ("!" | "~" | "not") unary | atom
     atom  := NAME | "0" | "1" | "true" | "false" | "(" expr ")"
 
+Each binary connective is defined in one place, a row of _CONNECTIVES:
+binding level, meaning on truth tables and spellings.  BOOL_OPS, KEYWORDS
+and the parser's, printer's and compiler's tables are derived from it.
+
 NAME matches [A-Za-z_][A-Za-z0-9_]* and may not collide with a keyword token.
 render() is the canonical printer and parse(render(e)) rebuilds e node for
 node.
@@ -32,24 +36,36 @@ from typing import Callable, Mapping, Sequence
 from .errors import ArityMismatch, DomainError, ParseError, UnknownVariable
 from .venn import OperatorSpec, _check_n, projection_mask
 
-BOOL_OPS: dict[str, Callable[[bool, bool], bool]] = {
-    "and": lambda a, b: a and b,
-    "or": lambda a, b: a or b,
-    "xor": lambda a, b: a != b,
-    "implies": lambda a, b: (not a) or b,
-    "rev_implies": lambda a, b: a or not b,
-    "iff": lambda a, b: a == b,
-    "nand": lambda a, b: not (a and b),
-    "nor": lambda a, b: not (a or b),
-    "nonimplies": lambda a, b: a and not b,
-    "rev_nonimplies": lambda a, b: (not a) and b,
+# Each binary connective, written once: its binding level (1 is the
+# loosest), its meaning on 2^n-bit truth tables (bit p of an operand is its
+# value at corner p, and `full ^ x` is negation) and its spellings, the first
+# being the one render() prints.  On the n = 2 projections 0b1010 and 0b1100
+# each meaning gives the index of its row in venn.knuth_registry().
+_CONNECTIVES = {
+    "and": (4, lambda a, b, full: a & b, ("&", "and")),
+    "or": (3, lambda a, b, full: a | b, ("|", "or")),
+    "xor": (1, lambda a, b, full: a ^ b, ("^", "xor")),
+    "implies": (2, lambda a, b, full: (full ^ a) | b, ("->", "implies")),
+    "rev_implies": (2, lambda a, b, full: a | (full ^ b), ("<-",)),
+    "iff": (1, lambda a, b, full: full ^ a ^ b, ("<->", "iff")),
+    "nand": (4, lambda a, b, full: full ^ (a & b), ("!and", "nand")),
+    "nor": (3, lambda a, b, full: full ^ (a | b), ("!or", "nor")),
+    "nonimplies": (2, lambda a, b, full: a & (full ^ b), ("!->",)),
+    "rev_nonimplies": (2, lambda a, b, full: (full ^ a) & b, ("!<-",)),
 }
+_PREC = {op: prec for op, (prec, _, _) in _CONNECTIVES.items()}
+_BIT_OPS = {op: bits for op, (_, bits, _) in _CONNECTIVES.items()}
+_SPELLINGS = {op: texts for op, (_, _, texts) in _CONNECTIVES.items()}
+
+
+def _on_one_corner(bits) -> Callable[[bool, bool], bool]:
+    """The connective of meaning bits on one corner; operands count as bool."""
+    return lambda a, b: bool(bits(bool(a), bool(b), 1))
+
+
+BOOL_OPS = {op: _on_one_corner(bits) for op, bits in _BIT_OPS.items()}
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-KEYWORDS = frozenset(
-    ("and", "or", "xor", "implies", "iff", "nand", "nor", "not", "true", "false")
-)
 
 
 class _Known:
@@ -156,20 +172,6 @@ class BinOp(Expr):
             raise DomainError(f"unknown connective {self.op!r}")
 
 
-# the spellings of each connective; the first is the one render() prints
-_SPELLINGS = {
-    "and": ("&", "and"),
-    "or": ("|", "or"),
-    "xor": ("^", "xor"),
-    "implies": ("->", "implies"),
-    "rev_implies": ("<-",),
-    "iff": ("<->", "iff"),
-    "nand": ("!and", "nand"),
-    "nor": ("!or", "nor"),
-    "nonimplies": ("!->",),
-    "rev_nonimplies": ("!<-",),
-}
-
 # token text -> (kind, value) for the kinds "op", "not", "const", "(" and
 # ")"; any other text is a name, a number or a stray character
 _TOKENS = {
@@ -181,6 +183,7 @@ _TOKENS = {
     ")": (")", None),
 }
 _OTHER = ("other", None)
+KEYWORDS = frozenset(filter(_NAME_RE.fullmatch, _TOKENS))
 
 # The tokenizer: findall gives every token's text, skipping whitespace.  The
 # alternatives are tried in order: names and keywords, numbers, "!and"/"!or"
@@ -214,18 +217,6 @@ def _syntax_error(
     return ParseError(message, offset, expected)
 
 
-_PREC = {
-    "iff": 1,
-    "xor": 1,
-    "implies": 2,
-    "rev_implies": 2,
-    "nonimplies": 2,
-    "rev_nonimplies": 2,
-    "or": 3,
-    "nor": 3,
-    "and": 4,
-    "nand": 4,
-}
 _NOT_PREC = 5
 _ATOM_PREC = 6
 
@@ -402,22 +393,6 @@ def evaluate_bool(e: Expr, env: Mapping[str, bool]) -> bool:
     return values[0]
 
 
-# The connectives on 2^n-bit truth tables: bit p of each operand is its
-# value at corner p, and `full ^ x` is negation.
-_BIT_OPS: dict[str, Callable[[int, int, int], int]] = {
-    "and": lambda a, b, full: a & b,
-    "or": lambda a, b, full: a | b,
-    "xor": lambda a, b, full: a ^ b,
-    "implies": lambda a, b, full: (full ^ a) | b,
-    "rev_implies": lambda a, b, full: a | (full ^ b),
-    "iff": lambda a, b, full: full ^ a ^ b,
-    "nand": lambda a, b, full: full ^ (a & b),
-    "nor": lambda a, b, full: full ^ (a | b),
-    "nonimplies": lambda a, b, full: a & (full ^ b),
-    "rev_nonimplies": lambda a, b, full: (full ^ a) & b,
-}
-
-
 def compile_expr(e: Expr, var_names: Sequence[str]) -> OperatorSpec:
     """Shade the parts of the diagram over var_names on which e holds.
 
@@ -425,11 +400,13 @@ def compile_expr(e: Expr, var_names: Sequence[str]) -> OperatorSpec:
     i-1 of p is set; the part is shaded when the formula evaluates true
     there.  The whole truth table is computed at once as a 2^n-bit integer:
     variable i is its projection mask, a constant is 0 or all ones, and each
-    connective is one bitwise operation, so the cost is one tree walk of
-    big-integer operations rather than one walk per corner.  Ordering is
-    taken from var_names, never inferred from the formula, so part labels
-    stay stable across formulas over the same variables.  Declared but
-    unused variables are fine; the shading is then symmetric in them.
+    connective is one or two bitwise operations (one `&`, `|` or `^` for
+    and, or and xor; a negation `full ^ x` and one of those for the other
+    seven), so the cost is one tree walk of big-integer operations rather
+    than one walk per corner.  Ordering is taken from var_names, never
+    inferred from the formula, so part labels stay stable across formulas
+    over the same variables.  Declared but unused variables are fine; the
+    shading is then symmetric in them.
     """
     names = list(var_names)
     if len(set(names)) != len(names):

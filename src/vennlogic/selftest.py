@@ -236,9 +236,23 @@ def _suite_neutro_rows(rng, perturb=0.0):
         _close(rows[6].value.norm(), diagram_norm(a), 1e-12, "exclusive row norm")
 
 
+# Each connective's Knuth catalog row, written apart from expr.py's table
+_CATALOG_ROWS = {
+    "and": "Conjunction", "or": "Inclusive disjunction",
+    "xor": "Exclusive disjunction", "implies": "Implication",
+    "rev_implies": "Converse implication", "iff": "Equivalence",
+    "nand": "Nonconjunction", "nor": "Nondisjunction",
+    "nonimplies": "Nonimplication", "rev_nonimplies": "Converse nonimplication",
+}
+
+
 def _suite_parser(rng, perturb=0.0):
     names = ("a", "b", "c", "d")
     ops = sorted(BOOL_OPS)
+    index = {named.names[0]: named.spec.shaded for named in knuth_registry()}
+    for op, row in _CATALOG_ROWS.items():
+        if compile_expr(BinOp(op, Var("x"), Var("y")), ("x", "y")).shaded != index[row]:
+            raise SelfTestFailure(f"connective {op} is not the catalog's {row}")
 
     def build(depth):
         if depth <= 0 or rng.random() < 0.3:

@@ -375,6 +375,20 @@ def test_cli_and_library_share_one_input_rule(capsys, logic, text):
             "duplicate variable names in assignment",
             id="repeated-Assignment",
         ),
+        # the names are checked before any value, so a bad value does not
+        # hide a repeated name
+        pytest.param(
+            lambda: Assignment.fuzzy(("x", "x"), (1.5, 0.2)),
+            ("eval", "-e", "x", "-v", "x,x", "-a", "x=1.5"),
+            "duplicate variable names in assignment",
+            id="repeated-bad-truth",
+        ),
+        pytest.param(
+            lambda: Assignment.neutrosophic(("x", "x"), ((0.5, 0.3, 0.2), (2, 0, 0))),
+            ("eval", "-e", "x", "-v", "x,x", "-a", "x=2,0,0", "--logic", "neutrosophic"),
+            "duplicate variable names in assignment",
+            id="repeated-bad-triple",
+        ),
         pytest.param(
             lambda: compile_expr(parse("x"), []),
             None,
@@ -533,6 +547,21 @@ class TestLargeN:
         assert rows[-1].startswith("aggregate" if fmt == "csv" else "| aggregate")
         assert elapsed < 10.0
 
+    def test_eval_csv_at_twenty(self, capsys):
+        # N_MAX: about 7 s on a 2-core host, so the bound leaves a slower CI
+        # runner four times that
+        expr, assign = _xor_chain(20, "0.6")
+        start = time.perf_counter()
+        rc, out, err = run(
+            capsys, "eval", "-e", expr, "-a", assign, "--logic", "fuzzy", "--format", "csv"
+        )
+        elapsed = time.perf_counter() - start
+        assert rc == 0, err
+        # the header, one row per part and the aggregate
+        assert out.count("\n") == 2**20 + 2
+        assert out.endswith("\n") and out.rsplit("\n", 2)[1].startswith("aggregate,")
+        assert elapsed < 30.0
+
     @pytest.mark.xfail(
         strict=True,
         raises=ValueError,
@@ -690,3 +719,13 @@ class TestSelftest:
         rc, out, _ = run(capsys, "selftest", "--seed", "42", "--inject-failure")
         assert rc == 4
         assert "FAIL union-falsehood-identity" in out
+
+    def test_wrong_connective_meaning_fails(self, capsys, monkeypatch):
+        # rev_implies given implies' meaning on truth tables: the parser
+        # suite checks each connective against its catalog row
+        from vennlogic import expr
+
+        monkeypatch.setitem(expr._BIT_OPS, "rev_implies", expr._BIT_OPS["implies"])
+        rc, out, _ = run(capsys, "selftest", "--seed", "42")
+        assert rc == 4
+        assert "FAIL parser-round-trip: connective rev_implies is not" in out

@@ -22,6 +22,7 @@ from vennlogic import (
     Var,
     compile_expr,
     evaluate_bool,
+    knuth_registry,
     parse,
     render,
     variables,
@@ -226,6 +227,15 @@ class TestEvaluate:
                     got = evaluate_bool(BinOp(op, x, y), {"x": a, "y": b})
                     assert got == want(a, b), (op, a, b)
 
+    def test_operands_are_read_by_their_truth(self):
+        # any operand counts as its bool(), as with `and`, `or` and `not`
+        operands = (0, 1, 2, -1, 0.0, 0.5, "", "s", None, [], [0])
+        for op, fn in BOOL_OPS.items():
+            for a in operands:
+                for b in operands:
+                    got = fn(a, b)
+                    assert got is fn(bool(a), bool(b)), (op, a, b)
+
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
             evaluate_bool(x, {"y": True})
@@ -243,6 +253,30 @@ class TestCompile:
         assert compile_expr(parse("x"), ["x", "y"]) == OperatorSpec(2, 0b1010)
         assert compile_expr(parse("x ^ y"), ["x", "y"]) == OperatorSpec(2, 0b0110)
         assert compile_expr(parse("0"), ["x", "y"]) == OperatorSpec(2, 0b0000)
+
+    @pytest.mark.parametrize(
+        "op, row, index",
+        [
+            ("and", "Conjunction", 0b1000),
+            ("or", "Inclusive disjunction", 0b1110),
+            ("xor", "Exclusive disjunction", 0b0110),
+            ("implies", "Implication", 0b1101),
+            ("rev_implies", "Converse implication", 0b1011),
+            ("iff", "Equivalence", 0b1001),
+            ("nand", "Nonconjunction", 0b0111),
+            ("nor", "Nondisjunction", 0b0001),
+            ("nonimplies", "Nonimplication", 0b0010),
+            ("rev_nonimplies", "Converse nonimplication", 0b0100),
+        ],
+    )
+    def test_connective_is_a_catalog_row(self, op, row, index):
+        # bit a | b << 1 of a row's index is its output at x = a, y = b
+        [named] = [o for o in knuth_registry() if o.names[0] == row]
+        assert named.spec.shaded == index
+        assert compile_expr(BinOp(op, x, y), ["x", "y"]).shaded == index
+        for a in (False, True):
+            for b in (False, True):
+                assert BOOL_OPS[op](a, b) == bool(index >> (a | b << 1) & 1), (a, b)
 
     def test_variable_order_fixes_part_bits(self):
         e = parse("x & !y")
