@@ -15,18 +15,19 @@ values take all three components "T,I,F"; boolean values take 0 or 1.  Every
 component lies in [0, 1], with no slack, and a pair within 1e-9 of t + f = 1:
 Assignment.fuzzy and Assignment.neutrosophic check that, not this module.
 
-Exit codes: 0 success, 2 usage or syntax error, 3 numeric precondition
-violation, 4 selftest failure.
+Exit codes: 0 success, also when a reader closes stdout early (`| head`), 2
+usage or syntax error, 3 numeric precondition violation, 4 selftest failure.
+Every check runs before the first byte is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
-from itertools import compress
+from itertools import chain, compress
 
 from .errors import ArityMismatch, ParseError, VennLogicError
 from .evaluate import (
@@ -65,11 +66,9 @@ def _emit_json(payload) -> None:
 
 
 def _emit_table(fmt, header, rows) -> None:
-    """Print a header and rows as CSV, or else as a markdown table."""
+    """Print a header and rows, each as it is drawn, as CSV or else markdown."""
     if fmt == "csv":
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows([header, *rows])
-        print(out.getvalue(), end="")
+        csv.writer(sys.stdout, lineterminator="\n").writerows(chain([header], rows))
         return
     print("| " + " | ".join(header) + " |")
     print("|" + "|".join(" --- " for _ in header) + "|")
@@ -135,8 +134,8 @@ def cmd_codify(args) -> int:
     names = _parse_vars(args.vars)
     spec = compile_expr(parse(args.expr), names)
     shaded = mask_bits(spec.n, spec.shaded)
-    labels = list(compress(part_labels(spec.n), shaded))
-    masks = list(compress(range(spec.part_count), shaded))
+    labels = compress(part_labels(spec.n), shaded)
+    masks = compress(range(spec.part_count), shaded)
     if args.format == "json":
         _emit_json(
             {
@@ -144,20 +143,21 @@ def cmd_codify(args) -> int:
                 "vars": list(names),
                 "n": spec.n,
                 "index": spec.shaded,
-                "parts": labels,
-                "bits": masks,
+                "parts": list(labels),
+                "bits": list(masks),
             }
         )
     elif args.format == "csv":
+        # str() before the header goes out, so a failed conversion prints nothing
         _emit_table(
             "csv",
             ("expression", "n", "index", "parts"),
-            [(args.expr, spec.n, spec.shaded, " ".join(labels))],
+            [(args.expr, spec.n, str(spec.shaded), " ".join(labels))],
         )
     else:
         print(f"expression: `{args.expr}`  vars: {', '.join(names)}")
         print(f"index: {spec.shaded}")
-        _emit_table("markdown", ("part", "bit"), list(zip(labels, masks)))
+        _emit_table("markdown", ("part", "bit"), zip(labels, masks))
     return 0
 
 
@@ -191,13 +191,12 @@ def cmd_eval(args) -> int:
             }
         )
         return 0
-    header = ("part", "shaded", *fields)
-    rows = [
+    rows = (
         (label, bit, *map(_fmt, xs))
         for label, bit, *xs in zip(labels, mask_bits(spec.n, spec.shaded), *columns)
-    ]
-    rows.append(("aggregate", "", *_value_cells(report.aggregate)))
-    _emit_table(args.format, header, rows)
+    )
+    aggregate = ("aggregate", "", *_value_cells(report.aggregate))
+    _emit_table(args.format, ("part", "shaded", *fields), chain(rows, [aggregate]))
     if args.format == "markdown":
         print(f"strategy: {report.strategy}")
         if report.tau is not None:
@@ -258,7 +257,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_parts(args) -> int:
-    rows = list(zip(part_labels(args.n), range(1 << args.n)))
+    rows = zip(part_labels(args.n), range(1 << args.n))
     if args.format == "json":
         parts = [{"label": label, "mask": mask} for label, mask in rows]
         _emit_json({"n": args.n, "parts": parts})
@@ -358,10 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except VennLogicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so the flush at
+        # exit cannot fail again, and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,16 @@
 """End-to-end tests for the command-line front end."""
 
+import contextlib
+import csv
+import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -26,9 +33,10 @@ from vennlogic import (
     cli,
     compile_expr,
     enumerate_parts,
+    evaluate_operator,
     parse,
 )
-from vennlogic.venn import part_labels
+from vennlogic.venn import mask_bits, part_labels
 
 NEUTRO_ASSIGN = "x=0.5,0.3,0.2;y=0.4,0.4,0.2"
 
@@ -77,6 +85,15 @@ class TestCodify:
         assert rc == 0
         assert "| part | bit |" in out
         assert "| 12 | 3 |" in out
+
+    def test_csv_quotes_an_expression_with_a_newline(self, capsys):
+        expr = "x\n&\ty"
+        rc, out, _ = run(capsys, "codify", "-e", expr, "-v", "x,y", "--format", "csv")
+        assert rc == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["expression", "n", "index", "parts"],
+            [expr, "2", "8", "12"],
+        ]
 
 
 class TestEvalFuzzy:
@@ -547,20 +564,93 @@ class TestLargeN:
         assert rows[-1].startswith("aggregate" if fmt == "csv" else "| aggregate")
         assert elapsed < 10.0
 
-    def test_eval_csv_at_twenty(self, capsys):
-        # N_MAX: about 7 s on a 2-core host, so the bound leaves a slower CI
+    @pytest.mark.parametrize(
+        "fmt, logic, value",
+        [
+            ("csv", "fuzzy", "0.6"),
+            ("csv", "neutrosophic", "0.5,0.3,0.2"),
+            ("markdown", "fuzzy", "0.6"),
+        ],
+        ids=["csv-fuzzy", "csv-neutrosophic", "markdown-fuzzy"],
+    )
+    def test_eval_at_twenty(self, capsys, fmt, logic, value):
+        # N_MAX: 4 to 7 s on a 2-core host, so the bound leaves a slower CI
         # runner four times that
-        expr, assign = _xor_chain(20, "0.6")
+        expr, assign = _xor_chain(20, value)
         start = time.perf_counter()
         rc, out, err = run(
-            capsys, "eval", "-e", expr, "-a", assign, "--logic", "fuzzy", "--format", "csv"
+            capsys, "eval", "-e", expr, "-a", assign, "--logic", logic, "--format", fmt
         )
         elapsed = time.perf_counter() - start
         assert rc == 0, err
-        # the header, one row per part and the aggregate
-        assert out.count("\n") == 2**20 + 2
-        assert out.endswith("\n") and out.rsplit("\n", 2)[1].startswith("aggregate,")
+        if fmt == "csv":
+            # the header, one row per part and the aggregate
+            assert out.count("\n") == 2**20 + 2
+            assert out.rsplit("\n", 2)[1].startswith("aggregate,")
+        else:
+            # the header, the rule, one row per part and the aggregate, then
+            # the strategy line
+            assert out.startswith("| ") and out.count("\n| ") + 1 == 2**20 + 3
+            assert out.rsplit("\n", 3)[1].startswith("| aggregate |")
+        assert out.endswith("\n")
         assert elapsed < 30.0
+
+    @pytest.mark.parametrize(
+        "logic, text, value",
+        [("fuzzy", "0.6", 0.6), ("neutrosophic", "0.5,0.3,0.2", (0.5, 0.3, 0.2))],
+        ids=["fuzzy", "neutrosophic"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_rows_stream(self, fmt, logic, text, value):
+        # the CLI writes each row as it is formed, so its traced peak stays
+        # near the evaluation's own: columns, labels and the shaded bits
+        n = 16
+        expr, assign = _xor_chain(n, text)
+        names = tuple(f"x{i}" for i in range(n))
+
+        def evaluation():
+            assignment = getattr(Assignment, logic)(names, [value] * n)
+            spec = compile_expr(parse(expr), names)
+            report = evaluate_operator(spec, assignment)
+            return report, part_labels(n), mask_bits(n, spec.shaded)
+
+        def command():
+            argv = ["eval", "-e", expr, "-a", assign, "--logic", logic, "--format", fmt]
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert cli.main(argv) == 0
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(command) <= 1.25 * traced_peak(evaluation)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "--format", "csv"), ("eval", "--format", "markdown"), ("parts",)],
+        ids=["eval-csv", "eval-markdown", "parts-json"],
+    )
+    def test_closed_stdout_ends_quietly(self, argv):
+        expr, assign = _xor_chain(16, "0.6")
+        operands = ("-e", expr, "-a", assign) if argv[0] == "eval" else ("16",)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        with subprocess.Popen(
+            [sys.executable, "-m", "vennlogic.cli", argv[0], *operands, *argv[1:]],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as child:
+            # the output is megabytes, far past a pipe's buffer, so the child
+            # is still writing when the pipe closes (the JSON is a single line)
+            assert child.stdout.read(64)
+            child.stdout.close()
+            assert child.wait(timeout=60) == 0
+            assert child.stderr.read() == b""
 
     @pytest.mark.xfail(
         strict=True,
