@@ -27,7 +27,7 @@ import csv
 import json
 import os
 import sys
-from itertools import chain, compress
+from itertools import chain, compress, islice
 
 from .errors import ArityMismatch, ParseError, VennLogicError
 from .evaluate import (
@@ -259,8 +259,18 @@ def cmd_table(args) -> int:
 def cmd_parts(args) -> int:
     rows = zip(part_labels(args.n), range(1 << args.n))
     if args.format == "json":
-        parts = [{"label": label, "mask": mask} for label, mask in rows]
-        _emit_json({"n": args.n, "parts": parts})
+        # written a chunk of entries at a time, with the bytes of one
+        # json.dumps of the whole payload, so no 2^n-entry list or string is
+        # built: each chunk is a JSON list without its brackets
+        encode = json.JSONEncoder(ensure_ascii=False).encode
+        sys.stdout.write(f'{{"n": {args.n}, "parts": [')
+        sep = ""
+        while chunk := list(islice(rows, 1024)):
+            sys.stdout.write(
+                sep + encode([{"label": lb, "mask": m} for lb, m in chunk])[1:-1]
+            )
+            sep = ", "
+        sys.stdout.write("]}\n")
     else:
         _emit_table(args.format, ("label", "mask"), rows)
     return 0

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, compress, product, repeat
 from math import fsum, isfinite, prod
 from operator import add, sub
@@ -261,25 +262,27 @@ def oracle_expand(
     its strongest class.  This shares no code with the subset-composition
     route, so the two must agree to float precision.
 
-    Drawings share their prefixes: the last (up to) seven operands expand one
-    at a time, each level extending the products of the level before, and
-    the leading operands stream through itertools.product, so memory stays
-    at 3^7 terms for any k.  Each term is still formed left to right from
-    1.0 and added to its bucket with a plain += in itertools.product order,
-    so every bucket is bit-identical to multiplying out and adding each
-    drawing on its own.
+    Drawings share their prefixes.  The leading operands (all but the last
+    seven) stream through itertools.product; of the last (up to) seven, all
+    but the final one expand as lists, each level extending the products of
+    the level before, so memory stays at 3^6 terms for any k.  The final
+    operand is folded in per listed term: its T, I and F products go straight
+    to their three buckets, which _bucket_map holds ready for every strongest
+    class of the drawing so far.  Each term is still formed left to right
+    from 1.0 and added to its bucket with a plain += in itertools.product
+    order, so every bucket is bit-identical to multiplying out and adding
+    each drawing on its own.
     """
     k = len(values)
     if k < 1:
         raise DomainError("oracle needs at least one operand")
     if k > ORACLE_MAX_K:
         raise OracleTooLarge(f"3^{k} terms exceed the budget of 3^{ORACLE_MAX_K}")
-    ranks = [order.rank(c) for c in Component]
+    ranks = tuple(order.rank(c) for c in Component)
     head, tail = values[:-_ORACLE_TAIL], values[-_ORACLE_TAIL:]
-    # strongest rank of every tail drawing, in product order
-    tail_ranks = [-1]
-    for _ in tail:
-        tail_ranks = [r if r > q else q for r in tail_ranks for q in ranks]
+    *body, last = tail
+    lT, lI, lF = last.T, last.I, last.F
+    bucket_map = _bucket_map(ranks, len(tail))
     buckets = [0.0, 0.0, 0.0]  # indexed by rank
     for drawing in product(*(tuple(zip((v.T, v.I, v.F), ranks)) for v in head)):
         term = 1.0
@@ -289,12 +292,33 @@ def oracle_expand(
             if r > strongest:
                 strongest = r
         terms = [term]
-        for v in tail:
+        for v in body:
             xs = (v.T, v.I, v.F)
             terms = [t * x for t in terms for x in xs]
-        for t, r in zip(terms, tail_ranks):
-            buckets[r if r > strongest else strongest] += t
+        for t, (bT, bI, bF) in zip(terms, bucket_map[strongest + 1]):
+            buckets[bT] += t * lT
+            buckets[bI] += t * lI
+            buckets[bF] += t * lF
     return NeutrosophicValue(*(buckets[r] for r in ranks))
+
+
+@cache
+def _bucket_map(ranks: tuple[int, int, int], width: int) -> tuple[tuple, ...]:
+    """For the ranks of T, I, F and a tail of width operands: entry s + 1,
+    for each strongest head rank s (-1 without a head), lists the buckets of
+    the final operand's T, I and F drawings after each of the 3^(width - 1)
+    leading tail drawings, in product order.  Only four bucket triples
+    exist, one per strongest rank before the final operand, and every entry
+    holds references to them.  Orders have six rank tuples and tails seven
+    widths, so the cache holds at most 42 maps."""
+    triples = [tuple(r if r > m else m for r in ranks) for m in (-1, 0, 1, 2)]
+    strongest = [-1]  # of every leading tail drawing, in product order
+    for _ in range(width - 1):
+        strongest = [r if r > q else q for r in strongest for q in ranks]
+    return tuple(
+        tuple(triples[(r if r > s else s) + 1] for r in strongest)
+        for s in (-1, 0, 1, 2)
+    )
 
 
 def _fuzzy_oracle(a: Assignment, order: PrevalenceOrder) -> list[list[float]]:

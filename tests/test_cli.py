@@ -304,15 +304,25 @@ class TestErrorPaths:
         payload = run_json(capsys, "codify", "-e", "(" * 100 + "x" + ")" * 100, "-v", "x")
         assert payload["index"] == 0b10
 
-    def test_oracle_at_budget_edge(self, capsys):
-        # n = 7 is the largest report the 3^12 budget admits
+    @pytest.mark.parametrize("order", ["TIF", "ITF", "TFI"])
+    def test_oracle_at_budget_edge(self, capsys, order):
+        # n = 7 is the largest report the 3^12 budget admits, and every part
+        # expands the full tail width.  --order offers three of the six
+        # orders (test_evaluate runs all six through the library).  Under ITF
+        # the chain's part truths sum past 1 (ROADMAP item 3), so both runs
+        # exit 3
         names = [f"x{i}" for i in range(7)]
         assign = ";".join(f"{name}=0.5,0.3,0.2" for name in names)
-        payload = run_json(
-            capsys, "eval", "-e", " ^ ".join(names), "-a", assign,
-            "--logic", "neutrosophic", "--oracle",
+        argv = (
+            "eval", "-e", " ^ ".join(names), "-a", assign,
+            "--logic", "neutrosophic", "--order", order,
         )
-        assert payload["oracle_delta"] <= 1e-12
+        rc, _, err = run(capsys, *argv)
+        rc_oracle, out, err_oracle = run(capsys, *argv, "--oracle")
+        assert (rc_oracle, err_oracle) == (rc, err)
+        assert rc == (3 if order == "ITF" else 0), err
+        if rc == 0:
+            assert json.loads(out)["oracle_delta"] <= 1e-12
 
     def test_oracle_over_budget_is_numeric(self, capsys):
         names = [f"x{i}" for i in range(8)]
@@ -535,6 +545,15 @@ def test_oracle_accepts_pairs_the_evaluation_accepts(capsys):
     assert payload["oracle_delta"] <= 1e-12
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _xor_chain(n, value):
     names = [f"x{i}" for i in range(n)]
     return " ^ ".join(names), ";".join(f"{name}={value}" for name in names)
@@ -619,15 +638,16 @@ class TestLargeN:
             with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
                 assert cli.main(argv) == 0
 
-        def traced_peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        assert _traced_peak(command) <= 1.25 * _traced_peak(evaluation)
 
-        assert traced_peak(command) <= 1.25 * traced_peak(evaluation)
+    def test_parts_json_streams(self):
+        # parts writes its JSON a chunk of entries at a time, so its traced
+        # peak stays near that of the labels themselves
+        def command():
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert cli.main(["parts", "16", "--format", "json"]) == 0
+
+        assert _traced_peak(command) <= 1.25 * _traced_peak(lambda: part_labels(16))
 
     @pytest.mark.parametrize(
         "argv",
@@ -785,6 +805,15 @@ class TestParts:
         rc, out, _ = run(capsys, "parts", "2", "--format", "csv")
         assert rc == 0
         assert out.splitlines() == ["label,mask", "0,0", "1,1", "2,2", "12,3"]
+
+    @pytest.mark.parametrize("n", [*range(1, 11), 13])
+    def test_json_bytes(self, capsys, n):
+        # the payload is written in chunks, byte for byte one json.dumps of
+        # the whole; n = 13 spans several chunks
+        parts = [{"label": label, "mask": m} for m, label in enumerate(part_labels(n))]
+        rc, out, _ = run(capsys, "parts", str(n))
+        assert rc == 0
+        assert out == json.dumps({"n": n, "parts": parts}, ensure_ascii=False) + "\n"
 
     def test_too_many_variables(self, capsys):
         rc, _, err = run(capsys, "parts", "21")

@@ -433,6 +433,49 @@ class TestOracleExpansion:
                     x.hex() for x in (want.T, want.I, want.F)
                 ], (k, str(order))
 
+    def test_cached_bucket_maps_across_orders_and_widths(self):
+        # orders and tail widths interleave, so a bucket map cached under the
+        # wrong key is reused by a call that needs another one; k = 8..10
+        # stream a head, which reaches every strongest head rank
+        rng = random.Random(7100)
+        for k in range(1, 11):
+            values = [
+                NeutrosophicValue(rng.random(), rng.random(), rng.random())
+                for _ in range(k)
+            ]
+            for order in ALL_ORDERS:
+                got = oracle_expand(values, order)
+                want = _per_drawing_oracle(values, order)
+                assert [x.hex() for x in (got.T, got.I, got.F)] == [
+                    x.hex() for x in (want.T, want.I, want.F)
+                ], (k, str(order))
+        # one map per order and tail width: 6 orders x 7 widths
+        assert evaluate._bucket_map.cache_info().currsize <= 42
+
+    @pytest.mark.parametrize("order", ALL_ORDERS, ids=str)
+    def test_report_at_budget_edge(self, order):
+        # n = 7 is the largest report the 3^12 budget admits, and every part
+        # expands the full tail width.  The oracle must not change the
+        # outcome: under four of the six orders the chain's part truths sum
+        # past 1 (ROADMAP item 3), with or without it
+        names = _names(7)
+        a = Assignment.neutrosophic(names, [(0.5, 0.3, 0.2)] * 7)
+        spec = compile_expr(parse(" ^ ".join(names)), names)
+
+        def outcome(with_oracle):
+            try:
+                return evaluate_operator(spec, a, order, with_oracle=with_oracle)
+            except DisjointnessViolation as exc:
+                return str(exc)
+
+        plain, checked = outcome(False), outcome(True)
+        if str(order) in ("TIF", "TFI"):
+            assert checked.aggregate == plain.aggregate
+            assert checked.oracle_delta <= 1e-12
+        else:
+            assert checked == plain
+            assert plain.startswith("truth mass ")
+
     def test_memory_bounded(self):
         # listing all 3^10 terms peaks at about 3 MB
         values = [NeutrosophicValue(0.5, 0.3, 0.2)] * 10
