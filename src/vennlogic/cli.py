@@ -37,10 +37,12 @@ from .evaluate import (
     neutro_operator_table,
 )
 from .expr import compile_expr, parse
-from .logic_core import PrevalenceOrder
+from .logic_core import ITF, TFI, TIF, PrevalenceOrder
 from .venn import mask_bits, part_labels
 
 DEFAULT_TABLE2_ASSIGN = "x=0.5,0.3,0.2;y=0.4,0.4,0.2"
+# --order offers the three named readings; PrevalenceOrder takes all six
+ORDERS = tuple(map(str, (TIF, ITF, TFI)))
 
 
 def _round12(x: float) -> float:
@@ -168,7 +170,7 @@ def cmd_eval(args) -> int:
     report = evaluate_operator(spec, assignment, order=order, with_oracle=args.oracle)
     fields = tuple(vars(report.aggregate))
     labels = part_labels(spec.n)
-    columns = report.part_values.columns
+    columns = report.columns
     if args.format == "json":
         _emit_json(
             {
@@ -299,6 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (default json)",
         )
 
+    def add_order(p):
+        p.add_argument(
+            "--order",
+            choices=ORDERS,
+            default=ORDERS[0],
+            help="prevalence order, weakest to strongest",
+        )
+
     codify = sub.add_parser("codify", help="compile an expression to shaded parts")
     codify.add_argument("-e", "--expr", required=True, help="expression text")
     codify.add_argument(
@@ -323,12 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("boolean", "fuzzy", "neutrosophic"),
         default="fuzzy",
     )
-    evalp.add_argument(
-        "--order",
-        choices=("TIF", "ITF", "TFI"),
-        default="TIF",
-        help="prevalence order, weakest to strongest",
-    )
+    add_order(evalp)
     evalp.add_argument(
         "--oracle",
         action="store_true",
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"neutrosophic assignment for table 2 "
         f"(default \"{DEFAULT_TABLE2_ASSIGN}\")",
     )
-    table.add_argument("--order", choices=("TIF", "ITF", "TFI"), default="TIF")
+    add_order(table)
     add_format(table)
     table.set_defaults(handler=cmd_table)
 

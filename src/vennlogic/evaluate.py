@@ -5,7 +5,7 @@ expansion oracle."""
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, compress, product, repeat
 from math import fsum, isfinite, prod
@@ -29,7 +29,6 @@ from .venn import (
     Columns,
     OperatorSpec,
     Part,
-    PartValues,
     knuth_registry,
     mask_bits,
     part_labels,
@@ -363,8 +362,9 @@ def _neutro_oracle(a: Assignment, order: PrevalenceOrder) -> list[list[float]]:
 class EvalReport:
     """Everything one operator evaluation produced.
 
-    part_values covers all 2^n parts in ascending mask order, shaded or not,
-    as pairs built on access from part_values.columns.  partition_residual
+    columns holds every part's value, shaded or not, as one float list per
+    field of the aggregate's type (t, f or T, I, F), each indexed by part
+    mask; it takes part in ==, but not in hash or repr.  partition_residual
     measures how far the part values drift from the exact partition
     identity: |sum of part truths - 1| for fuzzy assignments, the worst
     |part norm - diagram norm| for three-component ones.  oracle_delta is the
@@ -374,12 +374,22 @@ class EvalReport:
 
     spec: OperatorSpec
     logic: str
-    part_values: PartValues
+    columns: Columns = field(repr=False, hash=False)
     aggregate: Value
     strategy: str
     tau: float | None
     partition_residual: float
     oracle_delta: float | None
+
+    @property
+    def part_values(self):
+        """A fresh iterator over the (Part, value) pairs of all 2^n parts in
+        ascending mask order, built from the columns as it is drawn.  It is
+        kept for bench/run.py's from_objects, its one reader; ROADMAP item 1
+        moves that reader to the columns and retires it."""
+        n = self.spec.n
+        parts = map(Part, repeat(n), range(1 << n))
+        return zip(parts, map(type(self.aggregate), *self.columns))
 
 
 def _kron(pairs) -> list[float]:
@@ -486,7 +496,7 @@ def evaluate_operator(
     return EvalReport(
         spec=spec,
         logic=a.kind,
-        part_values=PartValues(spec.n, type(a.values[0]), columns),
+        columns=columns,
         aggregate=aggregate,
         strategy=strategy,
         tau=tau,

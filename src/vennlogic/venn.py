@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
 
 from .errors import ArityMismatch, DomainError, LengthMismatch, TooManyVariables
 
@@ -123,40 +122,6 @@ class Part:
         return cls(n, mask)
 
 
-class PartValues(Sequence):
-    """The (Part, value) pairs of all 2^n parts in ascending mask order,
-    built on access from the columns: make(*entries) turns the entries of
-    one mask into its value.  Holding columns instead of 2^n pairs keeps an
-    evaluation at O(2^n) floats."""
-
-    def __init__(self, n: int, make, columns: Columns):
-        self.n = n
-        self.columns = columns
-        self._make = make
-
-    def __len__(self) -> int:
-        return 1 << self.n
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        p = range(len(self))[index]
-        return Part(self.n, p), self._make(*(c[p] for c in self.columns))
-
-    def __iter__(self):
-        parts = map(Part, repeat(self.n), range(len(self)))
-        return zip(parts, map(self._make, *self.columns))
-
-    # equal, and hashed, as the tuple of its pairs
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-
 @dataclass(frozen=True)
 class OperatorSpec:
     """An n-ary operator as the set of parts it shades (bit p <-> part p)."""
@@ -167,7 +132,12 @@ class OperatorSpec:
     def __post_init__(self):
         _check_n(self.n)
         if self.shaded < 0 or self.shaded.bit_length() > (1 << self.n):
-            raise DomainError(f"shaded mask {self.shaded} out of range for n={self.n}")
+            raise DomainError(f"shaded mask {self.shaded:#x} out of range for n={self.n}")
+
+    def __repr__(self) -> str:
+        # hex at every n: a decimal mask passes CPython's 4,300-digit
+        # int-to-str limit from n = 14
+        return f"OperatorSpec(n={self.n}, shaded={self.shaded:#x})"
 
     @property
     def part_count(self) -> int:
@@ -179,9 +149,6 @@ class OperatorSpec:
 
     def is_shaded(self, part_mask: int) -> bool:
         return bool(self.shaded >> part_mask & 1)
-
-    def shaded_count(self) -> int:
-        return self.shaded.bit_count()
 
     def shaded_parts(self) -> tuple[Part, ...]:
         return tuple(

@@ -352,6 +352,19 @@ class TestErrorPaths:
         assert info.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "-e", "x", "-a", "x=0.5,0.3,0.2", "--logic", "neutrosophic"],
+         ["table", "2"]],
+    )
+    def test_unnamed_order_exits_2(self, capsys, argv):
+        # PrevalenceOrder takes all six orders; --order offers the three
+        # named ones
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--order", "IFT"])
+        assert info.value.code == 2
+        assert "invalid choice: 'IFT'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "text",

@@ -2,7 +2,7 @@
 
 import random
 import tracemalloc
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from math import fsum
 
 import pytest
@@ -561,7 +561,7 @@ class TestAllParts:
         else:
             a = Assignment.neutrosophic(_names(16), _triples(rng, 16))
         report = evaluate_operator(OperatorSpec(16, 0b0110), a, TIF)
-        assert len(report.part_values) == 1 << 16
+        assert len(report.columns[0]) == 1 << 16
         assert report.partition_residual <= 1e-9
 
 
@@ -674,7 +674,7 @@ class TestValueColumns:
         built = self._count_parts(monkeypatch)
         report = evaluate_operator(spec, a)
         assert built == []
-        assert [p.mask for p, _ in report.part_values[:3]] == [0, 1, 2]
+        assert [p.mask for p, _ in islice(report.part_values, 3)] == [0, 1, 2]
         assert built == [0, 1, 2]
 
     def test_fuzzy_aggregate_matches_boole_fold(self):
@@ -700,7 +700,7 @@ class TestValueColumns:
             masks = range(1 << n) if n <= 6 else rng.sample(range(1 << n), 6)
             for kind in ("fuzzy", "neutrosophic"):
                 a = self._assignment(kind, n, n)
-                columns = evaluate_operator(OperatorSpec(n, 0), a).part_values.columns
+                columns = evaluate_operator(OperatorSpec(n, 0), a).columns
                 for p in {0, (1 << n) - 1, *masks}:
                     spec = OperatorSpec(n, 1 << p)
                     if kind == "fuzzy":
@@ -710,24 +710,29 @@ class TestValueColumns:
                         got = _neutro_detail(complement(spec), a, columns)[1]
                         assert got == f"negated part {labels[p]}", (n, p)
 
-    def test_part_values_view(self):
+    def test_part_values_pairs(self):
         a = self._assignment("neutrosophic", 4, 4)
         report = evaluate_operator(OperatorSpec(4, 0b0110_1001_1001_0110), a, TIF)
-        view = report.part_values
-        pairs = list(view)
-        assert len(view) == 16 and len(pairs) == 16
-        assert list(view) == pairs
-        assert view[0] == pairs[0] and view[5] == pairs[5]
-        assert view[-1] == pairs[15] and view[-16] == pairs[0]
-        assert view[2:8:3] == tuple(pairs[2:8:3])
-        with pytest.raises(IndexError):
-            view[16]
-        with pytest.raises(IndexError):
-            view[-17]
-        assert view == tuple(pairs) and tuple(pairs) == view
-        assert hash(view) == hash(tuple(pairs))
+        pairs = list(report.part_values)
+        assert [part.mask for part, _ in pairs] == list(range(16))
         for part, value in pairs:
-            assert value == NeutrosophicValue(*(c[part.mask] for c in view.columns))
+            assert part == Part(4, part.mask)
+            assert value == NeutrosophicValue(*(c[part.mask] for c in report.columns))
+        assert list(report.part_values) == pairs
+
+    def test_compare_hash_repr_build_no_part(self, monkeypatch):
+        # the report compares and hashes through its columns and fields, and
+        # its repr leaves the columns out: at n = 16 the decimal mask would
+        # also pass the int-to-str digit limit
+        a = self._assignment("fuzzy", 16, 16)
+        spec = compile_expr(parse(" ^ ".join(_names(16))), _names(16))
+        report, again = evaluate_operator(spec, a), evaluate_operator(spec, a)
+        built = self._count_parts(monkeypatch)
+        assert report == again and hash(report) == hash(again)
+        text = repr(report)
+        assert built == []
+        assert text.startswith(f"EvalReport(spec={spec!r}, logic='fuzzy', aggregate=")
+        assert "columns" not in text and repr(report.columns[0][0]) not in text
 
     def test_telescoped_bucket_when_indeterminacy_is_tiny(self):
         # prod(a+b) - prod(a) and tau - prod(a+b) cancel almost everything
@@ -739,10 +744,11 @@ class TestValueColumns:
             triples.append((t, 1e-9 * t, rng.random() * (1.0 - t)))
         a = Assignment.neutrosophic(_names(12), triples)
         for order in ALL_ORDERS:
-            view = evaluate_operator(OperatorSpec(12, 0), a, order).part_values
+            columns = evaluate_operator(OperatorSpec(12, 0), a, order).columns
             for mask in rng.sample(range(1 << 12), 64):
                 want = neutro_part_value(Part(12, mask), a, order)
-                _close(view[mask][1], (want.T, want.I, want.F))
+                got = NeutrosophicValue(*(c[mask] for c in columns))
+                _close(got, (want.T, want.I, want.F))
 
     def test_catalog_paths_value_parts_one_at_a_time(self, monkeypatch):
         # the catalog evaluators and both tables aggregate evaluate_operator's
@@ -765,7 +771,7 @@ class TestValueColumns:
             ("x", "y", "z"), ((0.5, 0.3, 0.2), (0.4, 0.4, 0.2), (0.6, 0.3, 0.1))
         )
         spec = compile_expr(parse("x ^ y ^ z"), ("x", "y", "z"))
-        columns = evaluate_operator(OperatorSpec(3, 0), a, ITF).part_values.columns
+        columns = evaluate_operator(OperatorSpec(3, 0), a, ITF).columns
         side = [NeutrosophicValue(*(c[p] for c in columns)) for p in (1, 2, 4, 7)]
         with pytest.raises(DisjointnessViolation) as public:
             neutro_disj_disjoint(side, diagram_norm(a))
@@ -822,7 +828,7 @@ class TestCatalogRoute:
             a = Assignment.neutrosophic(("x", "y"), triples)
             for order in (TIF, ITF, TFI):
                 # the part columns do not depend on the spec
-                columns = evaluate_operator(OperatorSpec(2, 0), a, order).part_values.columns
+                columns = evaluate_operator(OperatorSpec(2, 0), a, order).columns
                 want = _outcome(lambda: [
                     _neutro_detail(op.spec, a, columns) for op in knuth_registry()
                 ])

@@ -312,7 +312,7 @@ class TestCompile:
     def test_xor_chain_at_twenty_variables(self):
         names = [f"x{i}" for i in range(20)]
         spec = compile_expr(parse(" ^ ".join(names)), names)
-        assert spec.shaded_count() == 1 << 19
+        assert spec.shaded.bit_count() == 1 << 19
         want = 0
         for i in range(20):
             want ^= projection_mask(20, i)

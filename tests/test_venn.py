@@ -133,16 +133,27 @@ class TestOperatorSpec:
         spec = OperatorSpec(2, 0b1001)
         assert spec.part_count == 4
         assert spec.full_mask == 0b1111
-        assert spec.shaded_count() == 2
+        assert spec.shaded.bit_count() == 2
         assert [p.mask for p in spec.shaded_parts()] == [0, 3]
         assert spec.is_shaded(0) and spec.is_shaded(3)
         assert not spec.is_shaded(1) and not spec.is_shaded(2)
+
+    def test_repr_prints_the_mask_in_hex(self):
+        # from n = 14 a decimal mask would pass CPython's 4,300-digit limit
+        assert repr(OperatorSpec(2, 6)) == "OperatorSpec(n=2, shaded=0x6)"
+        for n in (14, N_MAX):
+            spec = OperatorSpec(n, random.Random(n).getrandbits(1 << n))
+            text = repr(spec)
+            assert text == f"OperatorSpec(n={n}, shaded={spec.shaded:#x})"
+            assert eval(text, {"OperatorSpec": OperatorSpec}) == spec
 
     def test_shaded_mask_bounds(self):
         with pytest.raises(DomainError):
             OperatorSpec(2, 16)
         with pytest.raises(DomainError):
             OperatorSpec(2, -1)
+        with pytest.raises(DomainError, match="0x1000"):
+            OperatorSpec(14, 1 << (1 << 14))
 
     def test_truth_table_round_trip(self):
         spec = operator_from_truth_table(2, [0, 1, 1, 0])
@@ -160,7 +171,7 @@ class TestOperatorSpec:
         shaded = data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
         spec = OperatorSpec(n, shaded)
         assert complement(complement(spec)) == spec
-        assert complement(spec).shaded_count() == spec.part_count - spec.shaded_count()
+        assert complement(spec).shaded.bit_count() == spec.part_count - spec.shaded.bit_count()
 
     def test_enumerate_parts(self):
         parts = enumerate_parts(4)
