@@ -53,7 +53,7 @@ def _fmt(x) -> str:
     return "" if x is None else format(x, ".12g")
 
 
-# A value's output columns are its dataclass fields in declaration order:
+# A value's output columns are its fields in declaration order:
 # t, f for fuzzy values and T, I, F for three-component ones.
 def _value_to_json(v):
     return {name: _round12(x) for name, x in vars(v).items()}

@@ -5,7 +5,6 @@ expansion oracle."""
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, compress, product, repeat
 from math import fsum, isfinite, prod
@@ -34,6 +33,7 @@ from .venn import (
     part_labels,
     projection_mask,
 )
+from .record import Record
 
 Value = FuzzyValue | NeutrosophicValue
 _KINDS = (frozenset({FuzzyValue}), frozenset({NeutrosophicValue}))
@@ -42,21 +42,15 @@ ORACLE_MAX_K = 12
 _ORACLE_TAIL = 7  # operands oracle_expand expands as lists
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Record):
     """Ordered variable values, all fuzzy or all three-component."""
 
-    names: tuple[str, ...]
-    values: tuple[Value, ...]
-
-    def __post_init__(self):
-        names = tuple(self.names)
-        values = tuple(self.values)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "values", values)
+    def __init__(self, names: Sequence[str], values: Sequence[Value]):
+        names, values = tuple(names), tuple(values)
         _check_names(names, len(values))
         if set(map(type, values)) not in _KINDS:
             raise ArityMismatch("assignment values must be all fuzzy or all neutrosophic")
+        vars(self).update(names=names, values=values)
 
     @property
     def kind(self) -> str:
@@ -358,8 +352,7 @@ def _neutro_oracle(a: Assignment, order: PrevalenceOrder) -> list[list[float]]:
     return [list(c) for c in zip(*((v.T, v.I, v.F) for v in parts))]
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Record):
     """Everything one operator evaluation produced.
 
     columns holds every part's value, shaded or not, as one float list per
@@ -372,14 +365,18 @@ class EvalReport:
     when no cross-check was requested.
     """
 
-    spec: OperatorSpec
-    logic: str
-    columns: Columns = field(repr=False, hash=False)
-    aggregate: Value
-    strategy: str
-    tau: float | None
-    partition_residual: float
-    oracle_delta: float | None
+    _eq_only = frozenset({"columns"})
+
+    def __init__(
+        self, spec: OperatorSpec, logic: str, columns: Columns, aggregate: Value,
+        strategy: str, tau: float | None, partition_residual: float,
+        oracle_delta: float | None,
+    ):
+        vars(self).update(
+            spec=spec, logic=logic, columns=columns, aggregate=aggregate,
+            strategy=strategy, tau=tau, partition_residual=partition_residual,
+            oracle_delta=oracle_delta,
+        )
 
     @property
     def part_values(self):
@@ -509,23 +506,21 @@ TABLE_GRID = tuple(i / 10 for i in range(11))
 TABLE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FuzzyOperatorRow:
-    row: int
-    index: int
-    name: str
-    symbol: str
-    truth_poly: str
+class FuzzyOperatorRow(Record):
+    def __init__(self, row: int, index: int, name: str, symbol: str, truth_poly: str):
+        vars(self).update(
+            row=row, index=index, name=name, symbol=symbol, truth_poly=truth_poly
+        )
 
 
-@dataclass(frozen=True)
-class NeutroOperatorRow:
-    row: int
-    index: int
-    name: str
-    value: NeutrosophicValue
-    strategy: str
-    tau: float | None
+class NeutroOperatorRow(Record):
+    def __init__(
+        self, row: int, index: int, name: str, value: NeutrosophicValue,
+        strategy: str, tau: float | None,
+    ):
+        vars(self).update(
+            row=row, index=index, name=name, value=value, strategy=strategy, tau=tau
+        )
 
 
 def fuzzy_operator_table() -> tuple[FuzzyOperatorRow, ...]:

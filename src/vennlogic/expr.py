@@ -29,11 +29,11 @@ interpreter's recursion limit.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Mapping, Sequence
 from itertools import islice
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
 
 from .errors import ArityMismatch, DomainError, ParseError, UnknownVariable
+from .record import Record
 from .venn import OperatorSpec, _check_n, projection_mask
 
 # Each binary connective, written once: its binding level (1 is the
@@ -81,12 +81,12 @@ class _Known:
         return self.value
 
 
-class Expr:
+class Expr(Record):
     """Base class for formula nodes.
 
-    ==, hash and repr give what the dataclass-generated methods would (the
-    nodes' field tuples compared, hashed and printed) but walk the tree with
-    explicit stacks instead of recursing.
+    ==, hash and repr give what Record's would (the nodes' field tuples
+    compared, hashed and printed) but walk the tree with explicit stacks
+    instead of recursing.
     """
 
     def __eq__(self, other):
@@ -141,35 +141,28 @@ class Expr:
         return "".join(pieces)
 
 
-# eq=False and repr=False keep Expr's iterative methods
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
-    name: str
+    def __init__(self, name: str):
+        if not _NAME_RE.fullmatch(name) or name in KEYWORDS:
+            raise DomainError(f"invalid variable name {name!r}")
+        vars(self).update(name=name)
 
-    def __post_init__(self):
-        if not _NAME_RE.fullmatch(self.name) or self.name in KEYWORDS:
-            raise DomainError(f"invalid variable name {self.name!r}")
 
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
-    value: bool
+    def __init__(self, value: bool):
+        vars(self).update(value=value)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Not(Expr):
-    child: Expr
+    def __init__(self, child: Expr):
+        vars(self).update(child=child)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-    def __post_init__(self):
-        if self.op not in BOOL_OPS:
-            raise DomainError(f"unknown connective {self.op!r}")
+    def __init__(self, op: str, left: Expr, right: Expr):
+        if op not in BOOL_OPS:
+            raise DomainError(f"unknown connective {op!r}")
+        vars(self).update(op=op, left=left, right=right)
 
 
 # token text -> (kind, value) for the kinds "op", "not", "const", "(" and

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .errors import DisjointnessViolation, DomainError, LengthMismatch
+from .record import Record
 
 EPS_NORM = 1e-9   # slack for t + f = 1 and for truth-mass preconditions
 EPS_DEN = 1e-12   # below this a rescaling denominator counts as zero
@@ -38,28 +38,21 @@ def _nonnegative(x: float, what: str) -> float:
     return max(0.0, x)
 
 
-@dataclass(frozen=True)
-class FuzzyValue:
+class FuzzyValue(Record):
     """A normalized fuzzy value: truth t and falsehood f with t + f = 1."""
 
-    t: float
-    f: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", _unit(self.t, "truth"))
-        object.__setattr__(self, "f", _unit(self.f, "falsehood"))
-        if abs(self.t + self.f - 1.0) > EPS_NORM:
-            raise DomainError(
-                f"fuzzy value needs t + f = 1, got t={self.t!r}, f={self.f!r}"
-            )
+    def __init__(self, t: float, f: float):
+        t, f = _unit(t, "truth"), _unit(f, "falsehood")
+        if abs(t + f - 1.0) > EPS_NORM:
+            raise DomainError(f"fuzzy value needs t + f = 1, got t={t!r}, f={f!r}")
+        vars(self).update(t=t, f=f)
 
     @classmethod
     def from_truth(cls, t: float) -> "FuzzyValue":
         return cls(t, 1.0 - t)
 
 
-@dataclass(frozen=True)
-class NeutrosophicValue:
+class NeutrosophicValue(Record):
     """A truth/indeterminacy/falsehood triple.
 
     A triple describing a single proposition normally has every component in
@@ -68,14 +61,12 @@ class NeutrosophicValue:
     below, at, or above 1.
     """
 
-    T: float
-    I: float
-    F: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "T", _nonnegative(self.T, "T component"))
-        object.__setattr__(self, "I", _nonnegative(self.I, "I component"))
-        object.__setattr__(self, "F", _nonnegative(self.F, "F component"))
+    def __init__(self, T: float, I: float, F: float):
+        vars(self).update(
+            T=_nonnegative(T, "T component"),
+            I=_nonnegative(I, "I component"),
+            F=_nonnegative(F, "F component"),
+        )
 
     def norm(self) -> float:
         return self.T + self.I + self.F
@@ -92,8 +83,7 @@ class Component(enum.Enum):
 _CANONICAL = (Component.T, Component.I, Component.F)
 
 
-@dataclass(frozen=True)
-class PrevalenceOrder:
+class PrevalenceOrder(Record):
     """The component classes ranked weakest to strongest.
 
     A product term that mixes several classes is credited to the strongest
@@ -101,11 +91,10 @@ class PrevalenceOrder:
     falsehood.
     """
 
-    order: tuple[Component, Component, Component]
-
-    def __post_init__(self):
-        if sorted(c.value for c in self.order) != ["F", "I", "T"]:
+    def __init__(self, order: tuple[Component, Component, Component]):
+        if sorted(c.value for c in order) != ["F", "I", "T"]:
             raise DomainError("prevalence order must list T, I, F exactly once each")
+        vars(self).update(order=order)
 
     @classmethod
     def from_string(cls, text: str) -> "PrevalenceOrder":
@@ -129,25 +118,18 @@ ITF = PrevalenceOrder.from_string("ITF")  # truth prevails over indeterminacy
 TFI = PrevalenceOrder.from_string("TFI")  # indeterminacy prevails over all
 
 
-@dataclass(frozen=True)
-class ComponentVector:
+class ComponentVector(Record):
     """One component class sampled across k variables.
 
     Entries are nonnegative; for atomic propositions they lie in [0, 1].
     """
 
-    component: Component
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        values = tuple(self.values)
+    def __init__(self, component: Component, values: Iterable[float]):
+        values = tuple(values)
         if not values:
             raise DomainError("component vector needs at least one entry")
-        object.__setattr__(
-            self,
-            "values",
-            tuple(_nonnegative(v, f"{self.component.value} entry") for v in values),
-        )
+        values = tuple(_nonnegative(v, f"{component.value} entry") for v in values)
+        vars(self).update(component=component, values=values)
 
 
 def fuzzy_conj(x: FuzzyValue, y: FuzzyValue) -> FuzzyValue:

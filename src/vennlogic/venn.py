@@ -13,10 +13,10 @@ part p.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import ArityMismatch, DomainError, LengthMismatch, TooManyVariables
+from .record import Record
 
 N_MAX = 20
 
@@ -68,12 +68,12 @@ def mask_bits(n: int, mask: int) -> bytes:
     return bin(mask)[:1:-1].ljust(1 << n, "0").encode().translate(_BIT_BYTES)
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(Record):
     """One disjoint region of an n-variable diagram."""
 
-    n: int
-    mask: int
+    def __init__(self, n: int, mask: int):
+        vars(self).update(n=n, mask=mask)
+        self.__post_init__()  # the check on its own, so Part builds can be counted
 
     def __post_init__(self):
         _check_n(self.n)
@@ -122,17 +122,14 @@ class Part:
         return cls(n, mask)
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Record):
     """An n-ary operator as the set of parts it shades (bit p <-> part p)."""
 
-    n: int
-    shaded: int
-
-    def __post_init__(self):
-        _check_n(self.n)
-        if self.shaded < 0 or self.shaded.bit_length() > (1 << self.n):
-            raise DomainError(f"shaded mask {self.shaded:#x} out of range for n={self.n}")
+    def __init__(self, n: int, shaded: int):
+        _check_n(n)
+        if shaded < 0 or shaded.bit_length() > (1 << n):
+            raise DomainError(f"shaded mask {shaded:#x} out of range for n={n}")
+        vars(self).update(n=n, shaded=shaded)
 
     def __repr__(self) -> str:
         # hex at every n: a decimal mask passes CPython's 4,300-digit
@@ -186,14 +183,13 @@ def complement(spec: OperatorSpec) -> OperatorSpec:
     return OperatorSpec(spec.n, spec.full_mask ^ spec.shaded)
 
 
-@dataclass(frozen=True)
-class TruthPolynomial:
+class TruthPolynomial(Record):
     """The multilinear extension of an operator's truth table: the sum over
     its terms (c, vs) of c times the product of t_{i+1} for i in vs, the
     0-based variable indices.  Terms are listed by degree, then by index."""
 
-    n: int
-    terms: tuple[tuple[int, tuple[int, ...]], ...]
+    def __init__(self, n: int, terms: tuple[tuple[int, tuple[int, ...]], ...]):
+        vars(self).update(n=n, terms=terms)
 
     @classmethod
     def of(cls, spec: OperatorSpec) -> "TruthPolynomial":
@@ -232,18 +228,16 @@ class TruthPolynomial:
         return total
 
 
-@dataclass(frozen=True)
-class NamedOperator:
+class NamedOperator(Record):
     """A catalogued two-variable operator."""
 
-    spec: OperatorSpec
-    names: tuple[str, ...]
-    symbol: str
-    truth_poly: TruthPolynomial
-
-    def __post_init__(self):
-        if self.spec.n != 2:
+    def __init__(
+        self, spec: OperatorSpec, names: tuple[str, ...], symbol: str,
+        truth_poly: TruthPolynomial,
+    ):
+        if spec.n != 2:
             raise DomainError("named operators are binary")
+        vars(self).update(spec=spec, names=names, symbol=symbol, truth_poly=truth_poly)
 
     @property
     def index(self) -> int:

@@ -861,3 +861,22 @@ class TestSelftest:
         rc, out, _ = run(capsys, "selftest", "--seed", "42")
         assert rc == 4
         assert "FAIL parser-round-trip: connective rev_implies is not" in out
+
+
+def test_import_loads_no_introspection_modules():
+    # every command is a fresh interpreter that pays for what the import
+    # loads; -S keeps site hooks from loading any of these beforehand
+    code = (
+        "import sys; before = set(sys.modules); import vennlogic.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    added = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "vennlogic.cli" in added
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added)

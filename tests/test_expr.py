@@ -1,5 +1,6 @@
 """Parser, printer, and compiler tests for the formula surface syntax."""
 
+import inspect
 import random
 import re
 import time
@@ -391,9 +392,12 @@ def _chain_repr(leaves):
     return text + "".join(f", right=Var(name={leaf!r}))" for leaf in leaves[1:])
 
 
-# the dataclass-generated ==, hash and repr, as the reference for Expr's
+# the dataclass-generated ==, hash and repr, as the reference for Expr's;
+# a node's fields are its __init__ parameters
 _REFERENCE_CLASSES = {
-    cls: make_dataclass(cls.__name__, list(cls.__dataclass_fields__), frozen=True)
+    cls: make_dataclass(
+        cls.__name__, list(inspect.signature(cls).parameters), frozen=True
+    )
     for cls in (Var, Const, Not, BinOp)
 }
 
