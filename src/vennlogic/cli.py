@@ -193,10 +193,8 @@ def cmd_eval(args) -> int:
             }
         )
         return 0
-    rows = (
-        (label, bit, *map(_fmt, xs))
-        for label, bit, *xs in zip(labels, mask_bits(spec.n, spec.shaded), *columns)
-    )
+    cells = (map("{:.12g}".format, column) for column in columns)
+    rows = zip(labels, mask_bits(spec.n, spec.shaded), *cells)
     aggregate = ("aggregate", "", *_value_cells(report.aggregate))
     _emit_table(args.format, ("part", "shaded", *fields), chain(rows, [aggregate]))
     if args.format == "markdown":

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import cache
-from itertools import chain, compress, product, repeat
+from itertools import compress, product, repeat
 from math import fsum, isfinite, prod
 from operator import add, sub
 
@@ -116,7 +116,10 @@ def _unit_rows(names, values, counts, usage, labels) -> list[tuple]:
 
 
 def diagram_norm(a: Assignment) -> float:
-    """Product of the variable norms; the target norm for aggregation."""
+    """Product of the variable norms; the target norm for aggregation.  A
+    fuzzy assignment raises ArityMismatch: its values have no norm."""
+    if a.kind != "neutrosophic":
+        raise ArityMismatch(f"expected a neutrosophic assignment, got {a.kind}")
     return prod(v.norm() for v in a.values)
 
 

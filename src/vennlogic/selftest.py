@@ -17,7 +17,6 @@ from .evaluate import (
     fuzzy_operator_eval,
     fuzzy_part_value,
     neutro_operator_table,
-    neutro_part_value,
     fuzzy_operator_table,
     oracle_expand,
 )

@@ -2,7 +2,7 @@
 
 import random
 import tracemalloc
-from itertools import islice, permutations, product
+from itertools import compress, islice, permutations, product
 from math import fsum
 
 import pytest
@@ -162,6 +162,13 @@ class TestAssignment:
             (NeutrosophicValue(0.5, 0.4, 0.3), NeutrosophicValue(0.2, 0.2, 0.2)),
         )
         assert diagram_norm(skew) == pytest.approx(1.2 * 0.6, abs=1e-12)
+
+    def test_diagram_norm_of_a_fuzzy_assignment(self):
+        # fuzzy values have no norm, so the wrong kind is named, as
+        # neutro_part_value names it
+        want = "expected a neutrosophic assignment, got fuzzy"
+        with pytest.raises(ArityMismatch, match=want):
+            diagram_norm(Assignment.fuzzy(("x", "y"), (0.3, 0.6)))
 
 
 class TestFuzzyParts:
@@ -620,14 +627,15 @@ class TestTables:
             )
 
 
-def _boole_fold(bits, ts):
-    """The multilinear extension of the truth table bits at ts by Boole's
-    expansion, f <- (1 - t_k) f|x_k=0 + t_k f|x_k=1, from the last variable
-    down: bit k of p is x_k, so the lower half of the list has x_k = 0."""
+def _boole_fold(bits, weights):
+    """The multilinear extension of the truth table bits at the weight pairs
+    (w0_k, w1_k) by Boole's expansion, f <- w0_k f|x_k=0 + w1_k f|x_k=1, from
+    the last variable down: bit k of p is x_k, so the lower half of the list
+    has x_k = 0.  With weights (1 - t_k, t_k) it is the fuzzy truth."""
     f = list(bits)
-    for t in reversed(ts):
+    for w0, w1 in reversed(weights):
         half = len(f) // 2
-        f = [(1 - t) * lo + t * hi for lo, hi in zip(f[:half], f[half:])]
+        f = [w0 * lo + w1 * hi for lo, hi in zip(f[:half], f[half:])]
     return f[0]
 
 
@@ -689,7 +697,37 @@ class TestValueColumns:
             ts = [rng.random() for _ in range(n)]
             a = Assignment.fuzzy(_names(n), ts)
             got = evaluate_operator(OperatorSpec(n, mask), a).aggregate.t
-            assert abs(got - _boole_fold(mask_bits(n, mask), ts)) <= 1e-12, n
+            want = _boole_fold(mask_bits(n, mask), [(1 - t, t) for t in ts])
+            assert abs(got - want) <= 1e-12, n
+
+    @pytest.mark.parametrize("order", [TIF, ITF, TFI], ids=str)
+    def test_neutro_bucket_sums_match_boole_fold(self, order):
+        # under the order a < b < c, the fold of a side's bits with the
+        # weights (a(not x_k), a(x_k)) is its bucket-a sum, low, and with the
+        # weights of a + b it is both; the buckets then sum to low, both - low
+        # and |side| * tau - both: a second O(2^n) route to the three sums,
+        # sharing no code with the Kronecker products and fsums, at every n
+        rng = random.Random(2020)
+        for n in [*range(1, 13), 16, N_MAX]:
+            triples = []
+            for _ in range(n):
+                lo, hi = sorted((rng.random(), rng.random()))
+                triples.append((lo, hi - lo, 1.0 - hi))
+            a = Assignment.neutrosophic(_names(n), triples)
+            side = mask_bits(n, rng.getrandbits(1 << n))
+            weak, middle = (
+                [(getattr(neutro_neg(v), c.value), getattr(v, c.value)) for v in a.values]
+                for c in order.order[:2]
+            )
+            low = _boole_fold(side, weak)
+            both = _boole_fold(
+                side, [(w0 + m0, w1 + m1) for (w0, w1), (m0, m1) in zip(weak, middle)]
+            )
+            folds = (low, both - low, sum(side) * diagram_norm(a) - both)
+            columns = dict(zip(Component, evaluate._neutro_parts(a, order)))
+            for c, got in zip(order.order, folds):
+                want = fsum(compress(columns[c], side))
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, c)
 
     def test_single_part_strategy_labels(self):
         # a one-part side is labelled on its own; the label is still the

@@ -2,6 +2,7 @@
 deleted, and ==, hash and repr are those of a frozen dataclass over the same
 field values, with EvalReport's columns and OperatorSpec's repr excepted."""
 
+import time
 from dataclasses import field, make_dataclass
 from functools import cache
 
@@ -135,3 +136,32 @@ def test_report_columns_take_part_in_eq_only():
     assert hash(report) == hash(other)
     assert repr(report) == repr(other)
     assert "columns" not in repr(report)
+
+
+class _Link(Record):
+    def __init__(self, label, inner):
+        vars(self).update(label=label, inner=inner)
+
+
+def test_deep_nesting_is_bounded_by_memory():
+    # ==, hash and repr walk nested records with explicit stacks, so 100,000
+    # levels need no recursion; the leaf prints through OperatorSpec's repr
+    depth = 100_000
+    start = time.perf_counter()
+
+    def chain(leaf):
+        for i in range(depth):
+            leaf = _Link(i % 3, leaf)
+        return leaf
+
+    a, twin, other = chain(_XOR), chain(_XOR), chain(OperatorSpec(2, 0b1001))
+    assert a == twin and a != other and not a != twin
+    assert hash(a) == hash(twin)
+    labels = [i % 3 for i in reversed(range(depth))]
+    want = "".join(f"_Link(label={k}, inner=" for k in labels)
+    assert repr(a) == want + "OperatorSpec(n=2, shaded=0x6)" + ")" * depth
+    # a tuple of records hashes and prints through its elements
+    pair = _Link(1, (_XOR, a))
+    assert hash(pair) == hash((1, (_XOR, a)))
+    assert repr(pair) == f"_Link(label=1, inner=({_XOR!r}, {a!r}))"
+    assert time.perf_counter() - start < 10.0
