@@ -26,6 +26,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from itertools import chain, compress, islice
 
@@ -79,10 +80,10 @@ def _emit_table(fmt, header, rows) -> None:
 
 
 def _parse_vars(text: str) -> tuple[str, ...]:
-    names = tuple(name.strip() for name in text.split(","))
-    if any(not name for name in names):
-        raise ParseError(f"bad variable list {text!r}", 0, {"name"})
-    return names
+    blank = re.search(r"(?<![^,])\s*(?![^,])", text)  # the first empty or blank name
+    if blank:
+        raise ParseError(f"bad variable list {text!r}", blank.start(), {"name"})
+    return tuple(name.strip() for name in text.split(","))
 
 
 def _parse_assignment(
@@ -91,20 +92,20 @@ def _parse_assignment(
     """Split name=value entries into floats and hand them, in the -v order of
     vars_text if given, to the logic's Assignment constructor, which checks them."""
     entries = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
+    for m in re.finditer(r"[^;]+", text):
+        chunk, at = m.group().strip(), m.start()
         if not chunk:
             continue
         name, eq, rhs = chunk.partition("=")
         name = name.strip()
         if not eq or not name:
-            raise ParseError(f"bad assignment entry {chunk!r}", 0, {"name=value"})
+            raise ParseError(f"bad assignment entry {chunk!r}", at, {"name=value"})
         try:
             comps = [float(c) for c in rhs.split(",")]
         except ValueError:
             raise ParseError(
                 f"variable {name!r}: non-numeric component in {rhs!r}",
-                0,
+                at,
                 {"number"},
             ) from None
         entries.append((name, comps))

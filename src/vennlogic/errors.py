@@ -66,8 +66,8 @@ class SelfTestFailure(VennLogicError):
 class ParseError(VennLogicError):
     """Bad surface syntax.
 
-    Carries the byte offset of the failure and the set of token kinds that
-    would have been accepted there.
+    Carries the character offset of the failure in the text it came from and
+    the set of token kinds that would have been accepted there.
     """
 
     exit_code = 2

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cache
+from itertools import chain, combinations, compress
+from operator import sub
 
 from .errors import ArityMismatch, DomainError, LengthMismatch, TooManyVariables
 from .record import Record
@@ -148,9 +150,9 @@ class OperatorSpec(Record):
         return bool(self.shaded >> part_mask & 1)
 
     def shaded_parts(self) -> tuple[Part, ...]:
-        return tuple(
-            Part(self.n, p) for p in range(self.part_count) if self.shaded >> p & 1
-        )
+        """The shaded parts by mask, picked from the 2^n bits in O(2^n)."""
+        picked = compress(range(self.part_count), mask_bits(self.n, self.shaded))
+        return tuple(Part(self.n, p) for p in picked)
 
 
 def enumerate_parts(n: int) -> tuple[Part, ...]:
@@ -162,8 +164,8 @@ def enumerate_parts(n: int) -> tuple[Part, ...]:
 def operator_from_truth_table(n: int, outputs) -> OperatorSpec:
     """Build a spec from the 2^n outputs of a classical truth table.
 
-    Output row p belongs to the corner where variable i is true exactly when
-    bit i-1 of p is set, so rows map one-to-one onto part bits.
+    Row p is the corner where variable i is true exactly when bit i-1 of p is
+    set, so a truthy row p shades part p.  One base-2 parse, in O(2^n).
     """
     _check_n(n)
     outputs = list(outputs)
@@ -171,11 +173,8 @@ def operator_from_truth_table(n: int, outputs) -> OperatorSpec:
         raise LengthMismatch(
             f"expected {1 << n} truth table rows for n={n}, got {len(outputs)}"
         )
-    shaded = 0
-    for p, out in enumerate(outputs):
-        if out:
-            shaded |= 1 << p
-    return OperatorSpec(n, shaded)
+    bits = "".join("1" if out else "0" for out in reversed(outputs))
+    return OperatorSpec(n, int(bits, 2))
 
 
 def complement(spec: OperatorSpec) -> OperatorSpec:
@@ -194,17 +193,17 @@ class TruthPolynomial(Record):
     @classmethod
     def of(cls, spec: OperatorSpec) -> "TruthPolynomial":
         """The nonzero Moebius coefficients of the 2^n truth-table bits: that
-        of subset S is the sum over subsets T of S of (-1)^|S-T| * bit_T,
-        computed in place one variable at a time in O(n * 2^n)."""
-        n = spec.n
-        coeffs = list(mask_bits(n, spec.shaded))
-        for bit in (1 << i for i in range(n)):
-            for s in range(1 << n):
-                if s & bit:
-                    coeffs[s] -= coeffs[s ^ bit]
-        subsets = [tuple(i for i in range(n) if s >> i & 1) for s in range(1 << n)]
-        order = sorted(range(1 << n), key=lambda s: (len(subsets[s]), subsets[s]))
-        return cls(n, tuple((coeffs[s], subsets[s]) for s in order if coeffs[s]))
+        of subset S is the sum over subsets T of S of (-1)^|S-T| * bit_T.  Each
+        of n perfect shuffles (Yates's pass) subtracts the even entries from the
+        odd ones, doing one variable; terms come by degree, in O(n * 2^n)."""
+        n, c = spec.n, list(mask_bits(spec.n, spec.shaded))
+        for _ in range(n):
+            even = c[0::2]
+            c = even + list(map(sub, c[1::2], even))
+        weights, degrees = [1 << i for i in range(n)], range(n + 1)
+        subsets = chain.from_iterable(combinations(range(n), d) for d in degrees)
+        masks = chain.from_iterable(map(sum, combinations(weights, d)) for d in degrees)
+        return cls(n, tuple((c[s], vs) for vs, s in zip(subsets, masks) if c[s]))
 
     @property
     def text(self) -> str:

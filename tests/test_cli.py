@@ -247,6 +247,25 @@ class TestErrorPaths:
         assert rc == 2
         assert "missing: y" in err and "unexpected: z" in err
 
+    # a faulty -v or -a entry is reported at its first character, the one
+    # after its ',' or ';'
+    def test_empty_variable_offset(self, capsys):
+        rc, _, err = run(capsys, "codify", "-e", "x", "-v", "x,,y")
+        assert rc == 2
+        assert err == "error: bad variable list 'x,,y' (offset 2)\n"
+
+    def test_nameless_assignment_entry_offset(self, capsys):
+        rc, _, err = run(capsys, "eval", "-e", "x", "-a", "x=0.3;=0.2")
+        assert rc == 2
+        assert err == "error: bad assignment entry '=0.2' (offset 6)\n"
+
+    def test_non_numeric_component_offset(self, capsys):
+        rc, _, err = run(capsys, "eval", "-e", "x", "-a", "x=0.3;y=0.5,a", "-v", "x,y")
+        assert rc == 2
+        assert err == (
+            "error: variable 'y': non-numeric component in '0.5,a' (offset 6)\n"
+        )
+
     def test_wrong_component_count_is_usage(self, capsys):
         rc, _, err = run(
             capsys, "eval", "-e", "x", "-a", "x=0.5", "--logic", "neutrosophic"

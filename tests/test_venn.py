@@ -1,6 +1,8 @@
 """Tests for diagram parts, operator specs, and the binary operator catalog."""
 
 import random
+import time
+from itertools import combinations, compress
 
 import pytest
 from hypothesis import given
@@ -78,6 +80,21 @@ def _random_polys(ns, per_n=12):
         for shaded in [0, full] + [rng.randint(0, full) for _ in range(per_n)]:
             spec = OperatorSpec(n, shaded)
             yield spec, TruthPolynomial.of(spec)
+
+
+def _moebius_reference(spec):
+    """TruthPolynomial.of the slow way: an in-place Moebius loop over every
+    index, one variable at a time, then a sort of the 2^n subsets by degree
+    and index."""
+    n = spec.n
+    coeffs = [int(spec.is_shaded(s)) for s in range(1 << n)]
+    for bit in (1 << i for i in range(n)):
+        for s in range(1 << n):
+            if s & bit:
+                coeffs[s] -= coeffs[s ^ bit]
+    subsets = [tuple(i for i in range(n) if s >> i & 1) for s in range(1 << n)]
+    order = sorted(range(1 << n), key=lambda s: (len(subsets[s]), subsets[s]))
+    return TruthPolynomial(n, tuple((coeffs[s], subsets[s]) for s in order if coeffs[s]))
 
 
 class TestPart:
@@ -253,6 +270,11 @@ class TestRegistry:
             assert not poly.terms or poly.terms[0][0] == 1
             assert not poly.text.startswith("-")
 
+    def test_truth_polynomial_matches_in_place_moebius(self):
+        # == compares every coefficient and the term order
+        for spec, poly in _random_polys(range(1, 13), per_n=6):
+            assert poly == _moebius_reference(spec), spec
+
     def test_truth_polynomial_text_matches_coefficients(self):
         grid = [i / 4 for i in range(5)]
         for op in knuth_registry():
@@ -297,3 +319,46 @@ class TestPartColumns:
         assert list(mask_bits(n, mask)) == [
             int(spec.is_shaded(p)) for p in range(1 << n)
         ]
+
+
+class TestAtNMax:
+    """The 2^n transforms at N_MAX, each within a wall-time bound several
+    times what a 2-core host takes (0.2 to 5 s)."""
+
+    def test_truth_polynomial_of_xor_chain(self):
+        # the xor of n bits is the sum over nonempty S of (-2)^(|S|-1) t_S
+        shaded = 0
+        for i in range(N_MAX):
+            shaded ^= projection_mask(N_MAX, i)
+        start = time.perf_counter()
+        poly = TruthPolynomial.of(OperatorSpec(N_MAX, shaded))
+        elapsed = time.perf_counter() - start
+        assert poly.terms == tuple(
+            ((-2) ** (d - 1), vs)
+            for d in range(1, N_MAX + 1)
+            for vs in combinations(range(N_MAX), d)
+        )
+        assert elapsed < 30.0
+
+    def test_shaded_parts(self):
+        mask = random.Random(N_MAX).getrandbits(1 << N_MAX)
+        start = time.perf_counter()
+        parts = OperatorSpec(N_MAX, mask).shaded_parts()
+        elapsed = time.perf_counter() - start
+        want = compress(range(1 << N_MAX), mask_bits(N_MAX, mask))
+        assert [p.mask for p in parts] == list(want)
+        assert all(p.n == N_MAX for p in parts)
+        assert elapsed < 10.0
+
+    def test_truth_table_round_trip(self):
+        mask = random.Random(N_MAX + 1).getrandbits(1 << N_MAX)
+        start = time.perf_counter()
+        spec = operator_from_truth_table(N_MAX, mask_bits(N_MAX, mask))
+        elapsed = time.perf_counter() - start
+        assert spec == OperatorSpec(N_MAX, mask)
+        assert elapsed < 2.0
+        # any row shades by its truthiness, not only bools and 0/1
+        rows = ["", None, 2, "x"] * (1 << (N_MAX - 2))
+        assert operator_from_truth_table(N_MAX, rows).shaded == (
+            OperatorSpec(N_MAX, 0).full_mask // 15 * 0b1100
+        )
