@@ -15,6 +15,9 @@ values take all three components "T,I,F"; boolean values take 0 or 1.  Every
 component lies in [0, 1], with no slack, and a pair within 1e-9 of t + f = 1:
 Assignment.fuzzy and Assignment.neutrosophic check that, not this module.
 
+Values print their fields in declaration order (t, f; T, I, F); JSON rounds
+numbers to 12 significant digits, and csv and markdown cells use %.12g.
+
 Exit codes: 0 success, also when a reader closes stdout early (`| head`), 2
 usage or syntax error, 3 numeric precondition violation, 4 selftest failure.
 Every check runs before the first byte is written.
@@ -39,6 +42,7 @@ from .evaluate import (
 )
 from .expr import compile_expr, parse
 from .logic_core import ITF, TFI, TIF, PrevalenceOrder
+from .record import Record
 from .venn import mask_bits, part_labels
 
 DEFAULT_TABLE2_ASSIGN = "x=0.5,0.3,0.2;y=0.4,0.4,0.2"
@@ -54,12 +58,16 @@ def _fmt(x) -> str:
     return "" if x is None else format(x, ".12g")
 
 
+def _json(x):
+    """A record as a dict of its fields in declaration order, recursively, and
+    a float rounded to 12 significant digits; an int, str or None as it is."""
+    if isinstance(x, Record):
+        return {name: _json(v) for name, v in vars(x).items()}
+    return _round12(x) if isinstance(x, float) else x
+
+
 # A value's output columns are its fields in declaration order:
 # t, f for fuzzy values and T, I, F for three-component ones.
-def _value_to_json(v):
-    return {name: _round12(x) for name, x in vars(v).items()}
-
-
 def _value_cells(v) -> list[str]:
     return [_fmt(x) for x in vars(v).values()]
 
@@ -184,12 +192,10 @@ def cmd_eval(args) -> int:
                     label: dict(zip(fields, map(_round12, xs)))
                     for label, *xs in zip(labels, *columns)
                 },
-                "aggregate": _value_to_json(report.aggregate),
+                "aggregate": _json(report.aggregate),
                 "strategy": report.strategy,
-                "tau": None if report.tau is None else _round12(report.tau),
-                "oracle_delta": None
-                if report.oracle_delta is None
-                else _round12(report.oracle_delta),
+                "tau": _json(report.tau),
+                "oracle_delta": _json(report.oracle_delta),
                 "partition_residual": _round12(report.partition_residual),
             }
         )
@@ -228,23 +234,12 @@ def cmd_table(args) -> int:
         _emit_json(
             {
                 "table": 2,
-                "assignment": {
-                    name: _value_to_json(value)
-                    for name, value in zip(assignment.names, assignment.values)
-                },
+                "assignment": dict(
+                    zip(assignment.names, map(_json, assignment.values))
+                ),
                 "order": str(order),
                 "row_to_index": [r.index for r in rows],
-                "rows": [
-                    {
-                        "row": r.row,
-                        "index": r.index,
-                        "name": r.name,
-                        "value": _value_to_json(r.value),
-                        "strategy": r.strategy,
-                        "tau": None if r.tau is None else _round12(r.tau),
-                    }
-                    for r in rows
-                ],
+                "rows": list(map(_json, rows)),
             }
         )
     else:
@@ -252,7 +247,7 @@ def cmd_table(args) -> int:
             (r.row, r.index, r.name, *_value_cells(r.value), r.strategy, _fmt(r.tau))
             for r in rows
         ]
-        header = ("row", "index", "name", "T", "I", "F", "strategy", "tau")
+        header = ("row", "index", "name", *vars(rows[0].value), "strategy", "tau")
         _emit_table(args.format, header, table)
     return 0
 

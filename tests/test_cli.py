@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -21,6 +22,7 @@ from vennlogic import (
     DomainError,
     FuzzyValue,
     LengthMismatch,
+    NeutrosophicValue,
     OperatorSpec,
     OracleTooLarge,
     ParseError,
@@ -827,6 +829,133 @@ class TestTables:
                 assert (payload["strategy"], payload["tau"]) == (row["strategy"], row["tau"])
 
 
+# exact stdout of commands whose JSON holds records: key order, values
+# rounded to 12 significant digits and null fields, byte for byte
+PINNED_JSON = [
+    (
+        'table 2',
+        '{"table": 2, "assignment": {"x": {"T": 0.5, "I": 0.3, "F": 0.2}, '
+        '"y": {"T": 0.4, "I": 0.4, "F": 0.2}}, "order": "TIF", '
+        '"row_to_index": [0, 8, 2, 10, 4, 12, 6, 14, 1, 9, 3, 11, 5, 13, 7, 15], '
+        '"rows": [{"row": 0, "index": 0, '
+        '"name": "Contradiction; falsehood; constant 0", "value": {"T": 0.0, '
+        '"I": 0.0, "F": 1.0}, "strategy": "empty", "tau": null}, {"row": 1, '
+        '"index": 8, "name": "Conjunction; and", "value": {"T": 0.2, "I": 0.44, '
+        '"F": 0.36}, "strategy": "part 12", "tau": null}, {"row": 2, "index": 2, '
+        '"name": "Nonimplication; difference; but not", "value": {"T": 0.1, '
+        '"I": 0.38, "F": 0.52}, "strategy": "part 1", "tau": null}, {"row": 3, '
+        '"index": 10, "name": "Left projection", "value": {"T": 0.5, "I": 0.3, '
+        '"F": 0.2}, "strategy": "projection x", "tau": null}, {"row": 4, '
+        '"index": 4, "name": "Converse nonimplication; not...but", '
+        '"value": {"T": 0.08, "I": 0.32, "F": 0.6}, "strategy": "part 2", '
+        '"tau": null}, {"row": 5, "index": 12, "name": "Right projection", '
+        '"value": {"T": 0.4, "I": 0.4, "F": 0.2}, "strategy": "projection y", '
+        '"tau": null}, {"row": 6, "index": 6, '
+        '"name": "Exclusive disjunction; nonequivalence; xor", '
+        '"value": {"T": 0.18, "I": 0.315384615385, "F": 0.504615384615}, '
+        '"strategy": "union 1+2", "tau": 1.0}, {"row": 7, "index": 14, '
+        '"name": "Inclusive disjunction; or; and/or", "value": {"T": 0.7, '
+        '"I": 0.26, "F": 0.04}, "strategy": "negated part 0", "tau": null}, '
+        '{"row": 8, "index": 1, '
+        '"name": "Nondisjunction; joint denial; neither...nor", '
+        '"value": {"T": 0.04, "I": 0.26, "F": 0.7}, "strategy": "part 0", '
+        '"tau": null}, {"row": 9, "index": 9, '
+        '"name": "Equivalence; if and only if", "value": {"T": 0.504615384615, '
+        '"I": 0.315384615385, "F": 0.18}, "strategy": "negated union 1+2", '
+        '"tau": 1.0}, {"row": 10, "index": 3, "name": "Right complementation", '
+        '"value": {"T": 0.2, "I": 0.4, "F": 0.4}, "strategy": "complement y", '
+        '"tau": null}, {"row": 11, "index": 11, '
+        '"name": "Converse implication; if", "value": {"T": 0.6, "I": 0.32, '
+        '"F": 0.08}, "strategy": "negated part 2", "tau": null}, {"row": 12, '
+        '"index": 5, "name": "Left complementation", "value": {"T": 0.2, '
+        '"I": 0.3, "F": 0.5}, "strategy": "complement x", "tau": null}, '
+        '{"row": 13, "index": 13, "name": "Implication; only if; if...then", '
+        '"value": {"T": 0.52, "I": 0.38, "F": 0.1}, '
+        '"strategy": "negated part 1", "tau": null}, {"row": 14, "index": 7, '
+        '"name": "Nonconjunction; not both...and; nand", "value": {"T": 0.36, '
+        '"I": 0.44, "F": 0.2}, "strategy": "negated part 12", "tau": null}, '
+        '{"row": 15, "index": 15, '
+        '"name": "Affirmation; validity; tautology; constant 1", '
+        '"value": {"T": 1.0, "I": 0.0, "F": 0.0}, "strategy": "full", '
+        '"tau": null}]}'
+        "\n",
+    ),
+    (
+        'table 2 -a "p=1,0,0;q=0,0,1" --order ITF',
+        '{"table": 2, "assignment": {"p": {"T": 1.0, "I": 0.0, "F": 0.0}, '
+        '"q": {"T": 0.0, "I": 0.0, "F": 1.0}}, "order": "ITF", '
+        '"row_to_index": [0, 8, 2, 10, 4, 12, 6, 14, 1, 9, 3, 11, 5, 13, 7, 15], '
+        '"rows": [{"row": 0, "index": 0, '
+        '"name": "Contradiction; falsehood; constant 0", "value": {"T": 0.0, '
+        '"I": 0.0, "F": 1.0}, "strategy": "empty", "tau": null}, {"row": 1, '
+        '"index": 8, "name": "Conjunction; and", "value": {"T": 0.0, "I": 0.0, '
+        '"F": 1.0}, "strategy": "part 12", "tau": null}, {"row": 2, "index": 2, '
+        '"name": "Nonimplication; difference; but not", "value": {"T": 1.0, '
+        '"I": 0.0, "F": 0.0}, "strategy": "part 1", "tau": null}, {"row": 3, '
+        '"index": 10, "name": "Left projection", "value": {"T": 1.0, "I": 0.0, '
+        '"F": 0.0}, "strategy": "projection p", "tau": null}, {"row": 4, '
+        '"index": 4, "name": "Converse nonimplication; not...but", '
+        '"value": {"T": 0.0, "I": 0.0, "F": 1.0}, "strategy": "part 2", '
+        '"tau": null}, {"row": 5, "index": 12, "name": "Right projection", '
+        '"value": {"T": 0.0, "I": 0.0, "F": 1.0}, "strategy": "projection q", '
+        '"tau": null}, {"row": 6, "index": 6, '
+        '"name": "Exclusive disjunction; nonequivalence; xor", '
+        '"value": {"T": 1.0, "I": 0.0, "F": 0.0}, "strategy": "union 1+2", '
+        '"tau": 1.0}, {"row": 7, "index": 14, '
+        '"name": "Inclusive disjunction; or; and/or", "value": {"T": 1.0, '
+        '"I": 0.0, "F": 0.0}, "strategy": "negated part 0", "tau": null}, '
+        '{"row": 8, "index": 1, '
+        '"name": "Nondisjunction; joint denial; neither...nor", '
+        '"value": {"T": 0.0, "I": 0.0, "F": 1.0}, "strategy": "part 0", '
+        '"tau": null}, {"row": 9, "index": 9, '
+        '"name": "Equivalence; if and only if", "value": {"T": 0.0, "I": 0.0, '
+        '"F": 1.0}, "strategy": "negated union 1+2", "tau": 1.0}, {"row": 10, '
+        '"index": 3, "name": "Right complementation", "value": {"T": 1.0, '
+        '"I": 0.0, "F": 0.0}, "strategy": "complement q", "tau": null}, '
+        '{"row": 11, "index": 11, "name": "Converse implication; if", '
+        '"value": {"T": 1.0, "I": 0.0, "F": 0.0}, "strategy": "negated part 2", '
+        '"tau": null}, {"row": 12, "index": 5, "name": "Left complementation", '
+        '"value": {"T": 0.0, "I": 0.0, "F": 1.0}, "strategy": "complement p", '
+        '"tau": null}, {"row": 13, "index": 13, '
+        '"name": "Implication; only if; if...then", "value": {"T": 0.0, '
+        '"I": 0.0, "F": 1.0}, "strategy": "negated part 1", "tau": null}, '
+        '{"row": 14, "index": 7, "name": "Nonconjunction; not both...and; nand", '
+        '"value": {"T": 1.0, "I": 0.0, "F": 0.0}, "strategy": "negated part 12", '
+        '"tau": null}, {"row": 15, "index": 15, '
+        '"name": "Affirmation; validity; tautology; constant 1", '
+        '"value": {"T": 1.0, "I": 0.0, "F": 0.0}, "strategy": "full", '
+        '"tau": null}]}'
+        "\n",
+    ),
+    (
+        'eval -e "x ^ y" -a "x=0.5,0.3,0.2;y=0.4,0.4,0.2" --logic neutrosophic --oracle',
+        '{"expression": "x ^ y", "vars": ["x", "y"], "logic": "neutrosophic", '
+        '"order": "TIF", "index": 6, "parts": {"0": {"T": 0.04, "I": 0.26, '
+        '"F": 0.7}, "1": {"T": 0.1, "I": 0.38, "F": 0.52}, "2": {"T": 0.08, '
+        '"I": 0.32, "F": 0.6}, "12": {"T": 0.2, "I": 0.44, "F": 0.36}}, '
+        '"aggregate": {"T": 0.18, "I": 0.315384615385, "F": 0.504615384615}, '
+        '"strategy": "union 1+2", "tau": 1.0, "oracle_delta": 2.22044604925e-16, '
+        '"partition_residual": 0.0}'
+        "\n",
+    ),
+    (
+        'eval -e "x & y" -a "x=0.6;y=0.3"',
+        '{"expression": "x & y", "vars": ["x", "y"], "logic": "fuzzy", '
+        '"order": "TIF", "index": 8, "parts": {"0": {"t": 0.28, "f": 0.72}, '
+        '"1": {"t": 0.42, "f": 0.58}, "2": {"t": 0.12, "f": 0.88}, '
+        '"12": {"t": 0.18, "f": 0.82}}, "aggregate": {"t": 0.18, "f": 0.82}, '
+        '"strategy": "part 12", "tau": null, "oracle_delta": null, '
+        '"partition_residual": 0.0}'
+        "\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, expected", PINNED_JSON, ids=[c for c, _ in PINNED_JSON])
+def test_record_json_bytes(capsys, command, expected):
+    assert run(capsys, *shlex.split(command)) == (0, expected, "")
+
+
 class TestParts:
     def test_json(self, capsys):
         payload = run_json(capsys, "parts", "3")
@@ -883,6 +1012,36 @@ class TestSelftest:
         rc, out, _ = run(capsys, "selftest", "--seed", "42")
         assert rc == 4
         assert "FAIL parser-round-trip: connective rev_implies is not" in out
+
+    @pytest.mark.parametrize(
+        "value, shift",
+        # a fuzzy value's t + f = 1 has 1e-9 slack, so its shift stays inside it
+        [(FuzzyValue(0.25, 0.75), 5e-10), (NeutrosophicValue(0.5, 0.3, 0.2), 1e-9)],
+    )
+    def test_close_names_the_deviating_field(self, value, shift):
+        from vennlogic.selftest import _close
+
+        _close(value, type(value)(*vars(value).values()), 1e-12, "law")
+        for field, x in vars(value).items():
+            shifted = type(value)(**{**vars(value), field: x + shift})
+            with pytest.raises(SelfTestFailure, match=rf"^law \({field}\): "):
+                _close(shifted, value, 1e-12, "law")
+
+    def test_one_channel_deviation_fails(self, capsys, monkeypatch):
+        # I alone shifted by 1e-9: the conjunction-oracle suite compares every
+        # channel of neutro_conj against oracle_expand
+        from vennlogic import selftest
+
+        conj = selftest.neutro_conj
+
+        def shifted(*args):
+            v = conj(*args)
+            return NeutrosophicValue(v.T, v.I + 1e-9, v.F)
+
+        monkeypatch.setattr(selftest, "neutro_conj", shifted)
+        rc, out, _ = run(capsys, "selftest", "--seed", "42")
+        assert rc == 4
+        assert "FAIL conjunction-oracle: conjunction under TIF (I): " in out
 
 
 def test_import_loads_no_introspection_modules():
