@@ -16,7 +16,9 @@ component lies in [0, 1], with no slack, and a pair within 1e-9 of t + f = 1:
 Assignment.fuzzy and Assignment.neutrosophic check that, not this module.
 
 Values print their fields in declaration order (t, f; T, I, F); JSON rounds
-numbers to 12 significant digits, and csv and markdown cells use %.12g.
+numbers to 12 significant digits, and csv and markdown cells use %.12g.  Rows
+of csv, markdown and `parts` JSON are written 1,024 at a time through one
+%-template; the only quoted csv field is an expression with a line break.
 
 Exit codes: 0 success, also when a reader closes stdout early (`| head`), 2
 usage or syntax error, 3 numeric precondition violation, 4 selftest failure.
@@ -26,7 +28,6 @@ Every check runs before the first byte is written.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -66,25 +67,31 @@ def _json(x):
     return _round12(x) if isinstance(x, float) else x
 
 
-# A value's output columns are its fields in declaration order:
-# t, f for fuzzy values and T, I, F for three-component ones.
-def _value_cells(v) -> list[str]:
-    return [_fmt(x) for x in vars(v).values()]
-
-
 def _emit_json(payload) -> None:
     print(json.dumps(payload, ensure_ascii=False))
 
 
-def _emit_table(fmt, header, rows) -> None:
-    """Print a header and rows, each as it is drawn, as CSV or else markdown."""
+def _write_rows(template, rows, sep="") -> None:
+    """Write each row through template, sep between rows, with one % operation
+    per chunk of 1,024 rows, so no 2^n-row list or string is built."""
+    rows = iter(rows)  # islice of a list would start again at its first row
+    lead = ""
+    while chunk := list(islice(rows, 1024)):
+        flat = tuple(chain.from_iterable(chunk))
+        sys.stdout.write(lead + (sep.join([template] * len(chunk)) % flat))
+        lead = sep
+
+
+def _emit_table(fmt, header, cells, rows) -> None:
+    """Print a header and rows as CSV or else markdown, each row's columns
+    through cells, one %-format per column."""
     if fmt == "csv":
-        csv.writer(sys.stdout, lineterminator="\n").writerows(chain([header], rows))
+        print(",".join(header))
+        _write_rows(",".join(cells) + "\n", rows)
         return
     print("| " + " | ".join(header) + " |")
     print("|" + "|".join(" --- " for _ in header) + "|")
-    for row in rows:
-        print("| " + " | ".join(str(c) for c in row) + " |")
+    _write_rows("| " + " | ".join(cells) + " |\n", rows)
 
 
 def _parse_vars(text: str) -> tuple[str, ...]:
@@ -158,17 +165,18 @@ def cmd_codify(args) -> int:
                 "bits": list(masks),
             }
         )
-    elif args.format == "csv":
-        # str() before the header goes out, so a failed conversion prints nothing
-        _emit_table(
-            "csv",
-            ("expression", "n", "index", "parts"),
-            [(args.expr, spec.n, str(spec.shaded), " ".join(labels))],
-        )
+        return 0
+    # str() before the first line goes out, so a failed conversion prints nothing
+    index = str(spec.shaded)
+    if args.format == "csv":
+        # ',' and '"' do not parse, so only a line break needs CSV quotes
+        expr = f'"{args.expr}"' if re.search("[\r\n]", args.expr) else args.expr
+        row = (expr, spec.n, index, " ".join(labels))
+        _emit_table("csv", ("expression", "n", "index", "parts"), ("%s",) * 4, [row])
     else:
         print(f"expression: `{args.expr}`  vars: {', '.join(names)}")
-        print(f"index: {spec.shaded}")
-        _emit_table("markdown", ("part", "bit"), zip(labels, masks))
+        print(f"index: {index}")
+        _emit_table("markdown", ("part", "bit"), ("%s", "%s"), zip(labels, masks))
     return 0
 
 
@@ -200,10 +208,10 @@ def cmd_eval(args) -> int:
             }
         )
         return 0
-    cells = (map("{:.12g}".format, column) for column in columns)
-    rows = zip(labels, mask_bits(spec.n, spec.shaded), *cells)
-    aggregate = ("aggregate", "", *_value_cells(report.aggregate))
-    _emit_table(args.format, ("part", "shaded", *fields), chain(rows, [aggregate]))
+    aggregate = ("aggregate", "", *vars(report.aggregate).values())
+    rows = chain(zip(labels, mask_bits(spec.n, spec.shaded), *columns), [aggregate])
+    cells = ("%s", "%s", *["%.12g"] * len(fields))
+    _emit_table(args.format, ("part", "shaded", *fields), cells, rows)
     if args.format == "markdown":
         print(f"strategy: {report.strategy}")
         if report.tau is not None:
@@ -225,7 +233,7 @@ def cmd_table(args) -> int:
             index = [row[1] for row in table]
             _emit_json({"table": 1, "row_to_index": index, "rows": rows})
         else:
-            _emit_table(args.format, header, table)
+            _emit_table(args.format, header, ("%s",) * len(header), table)
         return 0
     assignment = _parse_assignment(args.assign or DEFAULT_TABLE2_ASSIGN, "neutrosophic")
     order = PrevalenceOrder.from_string(args.order)
@@ -244,31 +252,26 @@ def cmd_table(args) -> int:
         )
     else:
         table = [
-            (r.row, r.index, r.name, *_value_cells(r.value), r.strategy, _fmt(r.tau))
+            (r.row, r.index, r.name, *vars(r.value).values(), r.strategy, _fmt(r.tau))
             for r in rows
         ]
-        header = ("row", "index", "name", *vars(rows[0].value), "strategy", "tau")
-        _emit_table(args.format, header, table)
+        fields = vars(rows[0].value)
+        header = ("row", "index", "name", *fields, "strategy", "tau")
+        cells = ("%s", "%s", "%s", *["%.12g"] * len(fields), "%s", "%s")
+        _emit_table(args.format, header, cells, table)
     return 0
 
 
 def cmd_parts(args) -> int:
     rows = zip(part_labels(args.n), range(1 << args.n))
     if args.format == "json":
-        # written a chunk of entries at a time, with the bytes of one
-        # json.dumps of the whole payload, so no 2^n-entry list or string is
-        # built: each chunk is a JSON list without its brackets
-        encode = json.JSONEncoder(ensure_ascii=False).encode
+        # the bytes of one json.dumps of the whole payload: labels are digits
+        # and dots, which JSON writes as they are
         sys.stdout.write(f'{{"n": {args.n}, "parts": [')
-        sep = ""
-        while chunk := list(islice(rows, 1024)):
-            sys.stdout.write(
-                sep + encode([{"label": lb, "mask": m} for lb, m in chunk])[1:-1]
-            )
-            sep = ", "
+        _write_rows('{"label": "%s", "mask": %d}', rows, ", ")
         sys.stdout.write("]}\n")
     else:
-        _emit_table(args.format, ("label", "mask"), rows)
+        _emit_table(args.format, ("label", "mask"), ("%s", "%s"), rows)
     return 0
 
 

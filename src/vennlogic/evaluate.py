@@ -75,7 +75,6 @@ class Assignment(Record):
                 t = row[0]
                 pairs.append(FuzzyValue(t, 1.0 - t))
         except DomainError as exc:
-            _check_names(names, len(rows))
             raise DomainError(f"variable {names[len(pairs)]!r}: {exc}") from None
         return cls(names, pairs)
 
@@ -100,16 +99,15 @@ def _check_names(names: tuple, count: int) -> None:
 
 def _unit_rows(names, values, counts, usage, labels) -> list[tuple]:
     """Each value's components as a tuple.  Faults: names, then counts, then
-    ranges; names are checked here only on a fault (Assignment does on success)."""
+    ranges."""
     rows = [tuple(v) if hasattr(v, "__iter__") else (v,) for v in values]
-    if len(rows) != len(names) or not counts.issuperset(map(len, rows)):
-        _check_names(names, len(rows))
+    _check_names(names, len(rows))
+    if not counts.issuperset(map(len, rows)):
         name = next(n for n, row in zip(names, rows) if len(row) not in counts)
         raise ArityMismatch(f"variable {name!r}: {usage}")
     for name, row in zip(names, rows):
         for x in row:
             if not 0.0 <= x <= 1.0:
-                _check_names(names, len(rows))
                 label = labels[row.index(x)]  # the components before x are in range
                 raise DomainError(f"variable {name!r}: {label}{x!r} outside [0, 1]")
     return rows

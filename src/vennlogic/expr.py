@@ -272,7 +272,8 @@ def render(e: Expr) -> str:
 
 
 def _postorder(e: Expr) -> list:
-    """The nodes of e, each child before its parent and left before right."""
+    """The nodes of e, each child before its parent and left before right.
+    A node that is not a Var, Const, Not or BinOp raises DomainError."""
     stack, order = [e], []
     while stack:
         node = stack.pop()
@@ -282,19 +283,15 @@ def _postorder(e: Expr) -> list:
             stack.append(node.right)
         elif isinstance(node, Not):
             stack.append(node.child)
+        elif not isinstance(node, (Var, Const)):
+            raise DomainError(f"not a formula node: {node!r}")
     order.reverse()
     return order
 
 
 def variables(e: Expr) -> set[str]:
     """Names referenced anywhere in the formula."""
-    names = set()
-    for node in _postorder(e):
-        if isinstance(node, Var):
-            names.add(node.name)
-        elif not isinstance(node, (Const, Not, BinOp)):
-            raise DomainError(f"not a formula node: {node!r}")
-    return names
+    return {node.name for node in _postorder(e) if isinstance(node, Var)}
 
 
 def evaluate_bool(e: Expr, env: Mapping[str, bool]) -> bool:
@@ -310,11 +307,9 @@ def evaluate_bool(e: Expr, env: Mapping[str, bool]) -> bool:
             values.append(node.value)
         elif isinstance(node, Not):
             values[-1] = not values[-1]
-        elif isinstance(node, BinOp):
+        else:
             right = values.pop()
             values[-1] = BOOL_OPS[node.op](values[-1], right)
-        else:
-            raise DomainError(f"not a formula node: {node!r}")
     return values[0]
 
 
@@ -353,11 +348,9 @@ def compile_expr(e: Expr, var_names: Sequence[str]) -> OperatorSpec:
             values.append(full if node.value else 0)
         elif isinstance(node, Not):
             values[-1] ^= full
-        elif isinstance(node, BinOp):
+        else:
             right = values.pop()
             values[-1] = _BIT_OPS[node.op](values[-1], right, full)
-        else:
-            raise DomainError(f"not a formula node: {node!r}")
     if missing:
         raise UnknownVariable(
             "unknown variable(s): " + ", ".join(sorted(missing))

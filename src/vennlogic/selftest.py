@@ -65,7 +65,7 @@ def _normalized_triple(rng):
     return NeutrosophicValue(lo, hi - lo, 1.0 - hi)
 
 
-def _suite_fuzzy_laws(rng, perturb=0.0):
+def _suite_fuzzy_laws(rng):
     one, zero = FuzzyValue(1.0, 0.0), FuzzyValue(0.0, 1.0)
     for _ in range(CASES):
         x, y, z = (FuzzyValue.from_truth(rng.random()) for _ in range(3))
@@ -79,7 +79,7 @@ def _suite_fuzzy_laws(rng, perturb=0.0):
         _close(fuzzy_conj(x, zero), zero, 1e-12, "absorbing element")
 
 
-def _suite_involutions(rng, perturb=0.0):
+def _suite_involutions(rng):
     for _ in range(CASES):
         x = FuzzyValue.from_truth(rng.random())
         if fuzzy_neg(fuzzy_neg(x)) != x:
@@ -100,7 +100,7 @@ def _suite_union_falsehood(rng, perturb=0.0):
         _close(got, 1.0 - miss, 1e-12, "union value vs complementary product")
 
 
-def _suite_conj_oracle(rng, perturb=0.0):
+def _suite_conj_oracle(rng):
     for _ in range(CASES):
         values = [_triple(rng) for _ in range(rng.randint(2, 4))]
         for order in ORDERS:
@@ -109,7 +109,7 @@ def _suite_conj_oracle(rng, perturb=0.0):
             _close(got, want, 1e-12, f"conjunction under {order}")
 
 
-def _suite_norm_multiplicativity(rng, perturb=0.0):
+def _suite_norm_multiplicativity(rng):
     for _ in range(CASES):
         values = [_triple(rng) for _ in range(rng.randint(2, 5))]
         target = 1.0
@@ -118,7 +118,7 @@ def _suite_norm_multiplicativity(rng, perturb=0.0):
         _close(neutro_conj(values).norm(), target, 1e-12, "conjunction norm")
 
 
-def _suite_composition(rng, perturb=0.0):
+def _suite_composition(rng):
     for _ in range(CASES):
         k = rng.randint(1, 6)
         vectors = [
@@ -135,7 +135,7 @@ def _suite_composition(rng, perturb=0.0):
             raise SelfTestFailure("composition is not symmetric in its arguments")
 
 
-def _suite_disjoint_union(rng, perturb=0.0):
+def _suite_disjoint_union(rng):
     for _ in range(CASES):
         k = rng.randint(2, 5)
         squeeze = rng.random()
@@ -155,7 +155,7 @@ def _suite_disjoint_union(rng, perturb=0.0):
         raise SelfTestFailure(f"degenerate union came out as {degenerate}")
 
 
-def _suite_partition(rng, perturb=0.0):
+def _suite_partition(rng):
     for n in (2, 3, 4):
         names = tuple(f"x{i}" for i in range(n))
         parts = enumerate_parts(n)
@@ -167,7 +167,7 @@ def _suite_partition(rng, perturb=0.0):
             _close(whole, FuzzyValue(1.0, 0.0), 1e-9, "full union")
 
 
-def _suite_corners(rng, perturb=0.0):
+def _suite_corners(rng):
     for op in knuth_registry():
         for p in range(4):
             a = Assignment.fuzzy(("x", "y"), (float(p & 1), float(p >> 1 & 1)))
@@ -188,13 +188,13 @@ def _suite_corners(rng, perturb=0.0):
             raise SelfTestFailure(f"spec {spec.shaded} corner {p} gave {got!r}")
 
 
-def _suite_operator_table(rng, perturb=0.0):
+def _suite_operator_table(rng):
     rows = fuzzy_operator_table()
     if len(rows) != 16:
         raise SelfTestFailure(f"operator table has {len(rows)} rows")
 
 
-def _suite_neutro_rows(rng, perturb=0.0):
+def _suite_neutro_rows(rng):
     for _ in range(CASES // 4):
         x, y = _normalized_triple(rng), _normalized_triple(rng)
         a = Assignment(("x", "y"), (x, y))
@@ -218,7 +218,7 @@ _CATALOG_ROWS = {
 }
 
 
-def _suite_parser(rng, perturb=0.0):
+def _suite_parser(rng):
     names = ("a", "b", "c", "d")
     ops = sorted(BOOL_OPS)
     index = {named.names[0]: named.spec.shaded for named in knuth_registry()}
@@ -272,9 +272,9 @@ def run_selftest(seed: int = 0, inject_failure: bool = False) -> bool:
     """
     for name, fn in SUITES:
         rng = random.Random(f"{seed}:{name}")
-        perturb = 1e-6 if inject_failure and name == "union-falsehood-identity" else 0.0
+        args = (rng, 1e-6) if inject_failure and fn is _suite_union_falsehood else (rng,)
         try:
-            fn(rng, perturb)
+            fn(*args)
         except VennLogicError as exc:
             print(f"FAIL {name}: {exc}")
             return False

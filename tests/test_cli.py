@@ -97,6 +97,21 @@ class TestCodify:
             [expr, "2", "8", "12"],
         ]
 
+    @pytest.mark.parametrize(
+        "expr, expected",
+        [
+            ("x &\ny", 'expression,n,index,parts\n"x &\ny",2,8,12\n'),
+            ("x &\r\ny", 'expression,n,index,parts\n"x &\r\ny",2,8,12\n'),
+            ("x &\ry", 'expression,n,index,parts\n"x &\ry",2,8,12\n'),
+        ],
+        ids=["lf", "crlf", "cr"],
+    )
+    def test_csv_bytes_of_an_expression_with_a_line_break(self, capsys, expr, expected):
+        # the field in quotes, as csv.writer(lineterminator="\n") writes a
+        # field with "\n"; a bare "\r" too, which csv.reader reads as a line end
+        argv = ("codify", "-e", expr, "-v", "x,y", "--format", "csv")
+        assert run(capsys, *argv) == (0, expected, "")
+
 
 class TestEvalFuzzy:
     def test_xor_schema(self, capsys):
@@ -730,6 +745,16 @@ class TestLargeN:
         names = ",".join(f"x{i}" for i in range(14))
         operand = ("-v", names) if argv[0] == "codify" else ("-a", assign)
         run(capsys, argv[0], "-e", expr, *operand, *argv[1:])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    def test_codify_writes_nothing_before_the_index_fails(self, capsys, fmt):
+        # the decimal index fails from n = 14 on (see the xfails above); it is
+        # formatted before the first line, so stdout stays empty
+        expr, _ = _xor_chain(14, "0.6")
+        names = ",".join(f"x{i}" for i in range(14))
+        with pytest.raises(ValueError):
+            cli.main(["codify", "-e", expr, "-v", names, "--format", fmt])
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

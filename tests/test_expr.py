@@ -246,6 +246,25 @@ class TestEvaluate:
         assert variables(e) == {"x", "y", "z"}
         assert variables(Const(True)) == set()
 
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            variables,
+            lambda e: evaluate_bool(e, {"x": True}),
+            lambda e: compile_expr(e, ["x"]),
+            render,
+        ],
+        ids=["variables", "evaluate_bool", "compile_expr", "render"],
+    )
+    def test_non_node_operand_raises(self, walk):
+        with pytest.raises(DomainError, match=r"^not a formula node: 5$"):
+            walk(BinOp("and", x, 5))
+
+    def test_non_node_reported_before_unknown_variable(self):
+        # the walk checks every node before evaluate_bool reads a variable
+        with pytest.raises(DomainError, match="not a formula node"):
+            evaluate_bool(BinOp("and", Var("q"), 5), {})
+
 
 class TestCompile:
     def test_known_masks(self):
