@@ -34,7 +34,7 @@ import re
 import sys
 from itertools import chain, compress, islice
 
-from .errors import ArityMismatch, ParseError, VennLogicError
+from .errors import ArityMismatch, ParseError, SelfTestFailure, VennLogicError
 from .evaluate import (
     Assignment,
     evaluate_operator,
@@ -42,13 +42,11 @@ from .evaluate import (
     neutro_operator_table,
 )
 from .expr import compile_expr, parse
-from .logic_core import ITF, TFI, TIF, PrevalenceOrder
+from .logic_core import ORDERS, PrevalenceOrder
 from .record import Record
 from .venn import mask_bits, part_labels
 
 DEFAULT_TABLE2_ASSIGN = "x=0.5,0.3,0.2;y=0.4,0.4,0.2"
-# --order offers the three named readings; PrevalenceOrder takes all six
-ORDERS = tuple(map(str, (TIF, ITF, TFI)))
 
 
 def _round12(x: float) -> float:
@@ -279,7 +277,7 @@ def cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
     ok = run_selftest(seed=args.seed, inject_failure=args.inject_failure)
-    return 0 if ok else 4
+    return 0 if ok else SelfTestFailure.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_order(p):
         p.add_argument(
             "--order",
-            choices=ORDERS,
-            default=ORDERS[0],
+            choices=tuple(map(str, ORDERS)),
+            default=str(ORDERS[0]),
             help="prevalence order, weakest to strongest",
         )
 

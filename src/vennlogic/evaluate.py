@@ -148,11 +148,17 @@ def fuzzy_part_value(part: Part, a: Assignment) -> FuzzyValue:
     return FuzzyValue(truth, inclusion_exclusion(union_args))
 
 
-def _side_detail(n: int, side: int, columns: Columns, make, disjoin, *args):
-    """Value and strategy of the parts set in side: one part is make(*its
-    column entries), several are disjoin(count, *column fsums, *args).  Only
-    the column entries of those parts are read, and only a union labels
-    every part."""
+_FUZZY_EMPTY = FuzzyValue(0.0, 1.0)
+_NEUTRO_EMPTY = NeutrosophicValue(0.0, 0.0, 1.0)
+
+
+def _side_detail(n: int, side: int, columns: Columns, empty, make, disjoin, *args):
+    """Value and strategy of the parts set in side: no part gives the
+    logic's empty value, one part make(*its column entries), several
+    disjoin(count, *column fsums, *args).  Only the column entries of those
+    parts are read, and only a union labels every part."""
+    if side == 0:
+        return empty, "empty"
     if side & (side - 1) == 0:
         p = side.bit_length() - 1
         return make(*(c[p] for c in columns)), f"part {Part(n, p).label()}"
@@ -165,12 +171,9 @@ def _side_detail(n: int, side: int, columns: Columns, make, disjoin, *args):
 def _fuzzy_detail(
     spec: OperatorSpec, a: Assignment, columns: Columns
 ) -> tuple[FuzzyValue, str, None]:
-    if spec.shaded == 0:
-        return FuzzyValue(0.0, 1.0), "empty", None
-    value, strategy = _side_detail(
-        spec.n, spec.shaded, columns, FuzzyValue, _fuzzy_disj_sums
-    )
-    return value, strategy, None
+    return *_side_detail(
+        spec.n, spec.shaded, columns, _FUZZY_EMPTY, FuzzyValue, _fuzzy_disj_sums
+    ), None
 
 
 def fuzzy_operator_eval(spec: OperatorSpec, a: Assignment) -> FuzzyValue:
@@ -200,8 +203,6 @@ def _neutro_detail(
     spec: OperatorSpec, a: Assignment, columns: Columns
 ) -> tuple[NeutrosophicValue, str, float | None]:
     full = spec.full_mask
-    if spec.shaded == 0:
-        return NeutrosophicValue(0.0, 0.0, 1.0), "empty", None
     if spec.shaded == full:
         return NeutrosophicValue(1.0, 0.0, 0.0), "full", None
     # literal recognition keeps projections and complementations exact even
@@ -220,7 +221,7 @@ def _neutro_detail(
     side = full ^ spec.shaded if use_complement else spec.shaded
     tau = None if side & (side - 1) == 0 else diagram_norm(a)
     value, strategy = _side_detail(
-        spec.n, side, columns, NeutrosophicValue, _neutro_disj_sums, tau
+        spec.n, side, columns, _NEUTRO_EMPTY, NeutrosophicValue, _neutro_disj_sums, tau
     )
     if use_complement:
         return neutro_neg(value), f"negated {strategy}", tau
@@ -558,21 +559,16 @@ def fuzzy_operator_table() -> tuple[FuzzyOperatorRow, ...]:
 def neutro_operator_table(
     a: Assignment, order: PrevalenceOrder = TIF
 ) -> tuple[NeutroOperatorRow, ...]:
-    """Evaluate the whole binary catalog under one assignment, annotating
-    each row with the aggregation strategy it took."""
+    """Evaluate the whole binary catalog under one assignment: each row is
+    the aggregate, strategy and tau of one evaluate_operator call."""
     _require(a, 2, "neutrosophic")
-    columns = _neutro_parts(a, order)
     rows = []
     for position, op in enumerate(knuth_registry()):
-        value, strategy, tau = _neutro_detail(op.spec, a, columns)
+        report = evaluate_operator(op.spec, a, order)
         rows.append(
             NeutroOperatorRow(
-                row=position,
-                index=op.index,
-                name=op.display_name,
-                value=value,
-                strategy=strategy,
-                tau=tau,
+                row=position, index=op.index, name=op.display_name,
+                value=report.aggregate, strategy=report.strategy, tau=report.tau,
             )
         )
     return tuple(rows)

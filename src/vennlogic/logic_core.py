@@ -116,6 +116,8 @@ class PrevalenceOrder(Record):
 TIF = PrevalenceOrder.from_string("TIF")  # prudent: falsehood prevails over all
 ITF = PrevalenceOrder.from_string("ITF")  # truth prevails over indeterminacy
 TFI = PrevalenceOrder.from_string("TFI")  # indeterminacy prevails over all
+# the named readings, which --order offers; PrevalenceOrder takes all six
+ORDERS = (TIF, ITF, TFI)
 
 
 class ComponentVector(Record):

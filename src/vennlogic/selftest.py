@@ -23,9 +23,7 @@ from .evaluate import (
 )
 from .expr import BOOL_OPS, BinOp, Const, Not, Var, compile_expr, evaluate_bool, parse, render
 from .logic_core import (
-    ITF,
-    TFI,
-    TIF,
+    ORDERS,
     Component,
     ComponentVector,
     FuzzyValue,
@@ -42,7 +40,6 @@ from .record import Record
 from .venn import OperatorSpec, enumerate_parts, knuth_registry
 
 CASES = 40
-ORDERS = (TIF, ITF, TFI)
 
 
 def _close(got, want, tol, what):

@@ -300,6 +300,17 @@ class TestErrorPaths:
         assert rc == 3
         assert "t + f = 1" in err
 
+    def test_empty_assignment_is_usage(self, capsys):
+        assert run(capsys, "eval", "-e", "x", "-a", ";") == (
+            2, "", "error: empty assignment (offset 0)\n"
+        )
+
+    @pytest.mark.parametrize("assign", [";;x=0.3;;", " ; x=0.3; ;"])
+    def test_blank_assignment_entries_are_skipped(self, capsys, assign):
+        want = run(capsys, "eval", "-e", "x", "-a", "x=0.3")
+        assert want[0] == 0
+        assert run(capsys, "eval", "-e", "x", "-a", assign) == want
+
     def test_nan_component_is_numeric(self, capsys):
         rc, out, err = run(capsys, "eval", "-e", "x & y", "-a", "x=nan,1;y=0.5")
         assert rc == 3
@@ -854,9 +865,10 @@ class TestTables:
                 assert (payload["strategy"], payload["tau"]) == (row["strategy"], row["tau"])
 
 
-# exact stdout of commands whose JSON holds records: key order, values
-# rounded to 12 significant digits and null fields, byte for byte
-PINNED_JSON = [
+# exact stdout of commands that print records, byte for byte: JSON key
+# order, values rounded to 12 significant digits and null fields, and table
+# 2's csv and markdown cells, %.12g values and empty tau cells
+PINNED_STDOUT = [
     (
         'table 2',
         '{"table": 2, "assignment": {"x": {"T": 0.5, "I": 0.3, "F": 0.2}, '
@@ -973,10 +985,55 @@ PINNED_JSON = [
         '"partition_residual": 0.0}'
         "\n",
     ),
+    (
+        "table 2 --format csv",
+        "row,index,name,T,I,F,strategy,tau\n"
+        "0,0,Contradiction; falsehood; constant 0,0,0,1,empty,\n"
+        "1,8,Conjunction; and,0.2,0.44,0.36,part 12,\n"
+        "2,2,Nonimplication; difference; but not,0.1,0.38,0.52,part 1,\n"
+        "3,10,Left projection,0.5,0.3,0.2,projection x,\n"
+        "4,4,Converse nonimplication; not...but,0.08,0.32,0.6,part 2,\n"
+        "5,12,Right projection,0.4,0.4,0.2,projection y,\n"
+        "6,6,Exclusive disjunction; nonequivalence; xor,0.18,0.315384615385,"
+        "0.504615384615,union 1+2,1\n"
+        "7,14,Inclusive disjunction; or; and/or,0.7,0.26,0.04,negated part 0,\n"
+        "8,1,Nondisjunction; joint denial; neither...nor,0.04,0.26,0.7,part 0,\n"
+        "9,9,Equivalence; if and only if,0.504615384615,0.315384615385,0.18,"
+        "negated union 1+2,1\n"
+        "10,3,Right complementation,0.2,0.4,0.4,complement y,\n"
+        "11,11,Converse implication; if,0.6,0.32,0.08,negated part 2,\n"
+        "12,5,Left complementation,0.2,0.3,0.5,complement x,\n"
+        "13,13,Implication; only if; if...then,0.52,0.38,0.1,negated part 1,\n"
+        "14,7,Nonconjunction; not both...and; nand,0.36,0.44,0.2,negated part 12,\n"
+        "15,15,Affirmation; validity; tautology; constant 1,1,0,0,full,\n"
+    ),
+    (
+        'table 2 -a "p=1,0,0;q=0,0,1" --order ITF --format markdown',
+        "| row | index | name | T | I | F | strategy | tau |\n"
+        "| --- | --- | --- | --- | --- | --- | --- | --- |\n"
+        "| 0 | 0 | Contradiction; falsehood; constant 0 | 0 | 0 | 1 | empty |  |\n"
+        "| 1 | 8 | Conjunction; and | 0 | 0 | 1 | part 12 |  |\n"
+        "| 2 | 2 | Nonimplication; difference; but not | 1 | 0 | 0 | part 1 |  |\n"
+        "| 3 | 10 | Left projection | 1 | 0 | 0 | projection p |  |\n"
+        "| 4 | 4 | Converse nonimplication; not...but | 0 | 0 | 1 | part 2 |  |\n"
+        "| 5 | 12 | Right projection | 0 | 0 | 1 | projection q |  |\n"
+        "| 6 | 6 | Exclusive disjunction; nonequivalence; xor | 1 | 0 | 0 | union 1+2 | 1 |\n"
+        "| 7 | 14 | Inclusive disjunction; or; and/or | 1 | 0 | 0 | negated part 0 |  |\n"
+        "| 8 | 1 | Nondisjunction; joint denial; neither...nor | 0 | 0 | 1 | part 0 |  |\n"
+        "| 9 | 9 | Equivalence; if and only if | 0 | 0 | 1 | negated union 1+2 | 1 |\n"
+        "| 10 | 3 | Right complementation | 1 | 0 | 0 | complement q |  |\n"
+        "| 11 | 11 | Converse implication; if | 1 | 0 | 0 | negated part 2 |  |\n"
+        "| 12 | 5 | Left complementation | 0 | 0 | 1 | complement p |  |\n"
+        "| 13 | 13 | Implication; only if; if...then | 0 | 0 | 1 | negated part 1 |  |\n"
+        "| 14 | 7 | Nonconjunction; not both...and; nand | 1 | 0 | 0 | negated part 12 |  |\n"
+        "| 15 | 15 | Affirmation; validity; tautology; constant 1 | 1 | 0 | 0 | full |  |\n"
+    ),
 ]
 
 
-@pytest.mark.parametrize("command, expected", PINNED_JSON, ids=[c for c, _ in PINNED_JSON])
+@pytest.mark.parametrize(
+    "command, expected", PINNED_STDOUT, ids=[c for c, _ in PINNED_STDOUT]
+)
 def test_record_json_bytes(capsys, command, expected):
     assert run(capsys, *shlex.split(command)) == (0, expected, "")
 

@@ -2,8 +2,8 @@
 
 import random
 import tracemalloc
-from itertools import compress, islice, permutations, product
-from math import fsum
+from itertools import compress, islice, permutations, product, repeat
+from math import fsum, prod
 
 import pytest
 
@@ -875,6 +875,97 @@ class TestCatalogRoute:
                     for row in neutro_operator_table(a, order)
                 ])
                 assert got == want, (triples, order.order)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 6: the disjointness precondition fires on the "
+        "union route but not on the complement route evaluate_operator takes",
+    )
+    @pytest.mark.parametrize("order", ALL_ORDERS, ids=str)
+    def test_precondition_does_not_depend_on_the_route(self, order):
+        # x | y shades parts 1, 2 and 12; evaluate_operator negates part 0,
+        # while the disjoint union of the shaded parts has truth mass 3 to 15
+        a = Assignment.neutrosophic(("x", "y"), ((1, 1, 1), (1, 1, 1)))
+        spec = compile_expr(parse("x | y"), ("x", "y"))
+        complement_route = _outcome(lambda: evaluate_operator(spec, a, order).aggregate)
+        shaded = [neutro_part_value(p, a, order) for p in spec.shaded_parts()]
+        union_route = _outcome(neutro_disj_disjoint, shaded, diagram_norm(a))
+        assert _kind(complement_route) is _kind(union_route)
+
+
+def _kind(outcome):
+    """The class of an _outcome: the error class, or the value's type."""
+    return outcome if isinstance(outcome, type) else type(outcome)
+
+
+class TestRoundingBounds:
+    """The float columns against exact ones formed in Python ints.
+
+    Every finite float is a dyadic rational, so over one power-of-two
+    denominator the inputs are integers and so are their Kronecker products
+    and bucket differences.  Each float route rounds once per factor or sum:
+    a fuzzy truth takes n roundings for its factors 1 - t_i or t_i and n - 1
+    for its products, and a bucket differences products of up to 3n - 1
+    roundings; the bounds are Higham's (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, section 3.1) with u = 2^-53.
+    """
+
+    @staticmethod
+    def _dyadic(xs):
+        """Numerators of the floats xs over one denominator 2^e, and e."""
+        ratios = [x.as_integer_ratio() for x in xs]
+        e = max(d.bit_length() - 1 for _, d in ratios)
+        return [m << (e - d.bit_length() + 1) for m, d in ratios], e
+
+    @staticmethod
+    def _kron(pairs):
+        out = [1]
+        for off, on in pairs:
+            out = [x * off for x in out] + [x * on for x in out]
+        return out
+
+    @staticmethod
+    def _first_outside(got, exact, shift, ulps, scale):
+        """The first index where |got - exact / 2^shift| exceeds
+        ulps * u * scale / 2^shift, compared exactly, or None."""
+        for index, (x, want, ref) in enumerate(zip(got, exact, scale)):
+            m, d = x.as_integer_ratio()
+            k = d.bit_length() - 1
+            if abs((m << shift) - (want << k)) << 53 > (ulps * ref) << k:
+                return index
+        return None
+
+    def test_fuzzy_truths_within_relative_bound(self):
+        rng = random.Random(853)
+        for n in [*range(1, 13), 16, N_MAX]:
+            a = Assignment.fuzzy(_names(n), [rng.random() for _ in range(n)])
+            ts, e = self._dyadic([v.t for v in a.values])
+            exact = self._kron(((1 << e) - t, t) for t in ts)
+            got = evaluate_operator(OperatorSpec(n, 0), a).columns[0]
+            assert self._first_outside(got, exact, e * n, 2 * n - 1, exact) is None, n
+
+    @pytest.mark.parametrize("order", [TIF, ITF, TFI], ids=str)
+    def test_neutro_buckets_within_absolute_bound(self, order):
+        rng = random.Random(str(order))
+        for n in [*range(1, 13), 16]:
+            a = Assignment.neutrosophic(_names(n), _triples(rng, n))
+            nums, e = self._dyadic([x for v in a.values for x in vars(v).values()])
+            values = [dict(zip("TIF", nums[3 * i : 3 * i + 3])) for i in range(n)]
+            negated = {"T": "F", "I": "I", "F": "T"}
+            weak, middle = (
+                [(v[negated[c.value]], v[c.value]) for v in values]
+                for c in order.order[:2]
+            )
+            low = self._kron(weak)
+            both = self._kron((w0 + m0, w1 + m1) for (w0, w1), (m0, m1) in zip(weak, middle))
+            tau = prod(map(sum, (v.values() for v in values)))
+            buckets = (low, [b - x for b, x in zip(both, low)], [tau - b for b in both])
+            columns = evaluate_operator(OperatorSpec(n, 0), a, order).columns
+            for c, got in zip(Component, columns):
+                exact = buckets[order.rank(c)]
+                index = self._first_outside(got, exact, e * n, 5 * n, repeat(tau))
+                assert index is None, (n, c, index)
 
 
 def _fuzzy_part_oracle(part, a):

@@ -191,6 +191,12 @@ class TestCompose:
         with pytest.raises(DomainError):
             compose([t, t])
 
+    @pytest.mark.parametrize("count", [0, 4])
+    def test_one_to_three_vectors(self, count):
+        vectors = [ComponentVector(c, (0.5,)) for c in Component]
+        with pytest.raises(DomainError, match="^compose takes one to three"):
+            compose((vectors * 2)[:count])
+
     def test_argument_permutation_exact(self):
         rng = random.Random(1701)
         for _ in range(50):

@@ -14,6 +14,7 @@ from vennlogic import (
     DomainError,
     LengthMismatch,
     N_MAX,
+    NamedOperator,
     OperatorSpec,
     Part,
     TooManyVariables,
@@ -287,6 +288,11 @@ class TestRegistry:
             ts = [rng.random() for _ in range(spec.n)]
             env = {f"t{i + 1}": t for i, t in enumerate(ts)}
             assert poly(*ts) == pytest.approx(eval(poly.text, env), abs=1e-12)
+
+    def test_named_operators_are_binary(self):
+        op = knuth_registry()[1]
+        with pytest.raises(DomainError, match="^named operators are binary$"):
+            NamedOperator(OperatorSpec(3, 0x80), op.names, op.symbol, op.truth_poly)
 
     def test_names_and_symbols(self):
         ops = knuth_registry()
