@@ -184,6 +184,9 @@ def cmd_eval(args) -> int:
     order = PrevalenceOrder.from_string(args.order)
     report = evaluate_operator(spec, assignment, order=order, with_oracle=args.oracle)
     fields = tuple(vars(report.aggregate))
+    # a union's strategy builds a label list of its own: read it before the
+    # rows' labels exist, so one list is alive at a time; csv never prints it
+    strategy = None if args.format == "csv" else report.strategy
     labels = part_labels(spec.n)
     columns = report.columns
     if args.format == "json":
@@ -199,7 +202,7 @@ def cmd_eval(args) -> int:
                     for label, *xs in zip(labels, *columns)
                 },
                 "aggregate": _json(report.aggregate),
-                "strategy": report.strategy,
+                "strategy": strategy,
                 "tau": _json(report.tau),
                 "oracle_delta": _json(report.oracle_delta),
                 "partition_residual": _round12(report.partition_residual),
@@ -211,7 +214,7 @@ def cmd_eval(args) -> int:
     cells = ("%s", "%s", *["%.12g"] * len(fields))
     _emit_table(args.format, ("part", "shaded", *fields), cells, rows)
     if args.format == "markdown":
-        print(f"strategy: {report.strategy}")
+        print(f"strategy: {strategy}")
         if report.tau is not None:
             print(f"tau: {_fmt(report.tau)}")
         if report.oracle_delta is not None:

@@ -153,27 +153,26 @@ _NEUTRO_EMPTY = NeutrosophicValue(0.0, 0.0, 1.0)
 
 
 def _side_detail(n: int, side: int, columns: Columns, empty, make, disjoin, *args):
-    """Value and strategy of the parts set in side: no part gives the
-    logic's empty value, one part make(*its column entries), several
-    disjoin(count, *column fsums, *args).  Only the column entries of those
-    parts are read, and only a union labels every part."""
+    """Value and route of the parts set in side: no part gives the logic's
+    empty value, one part make(*its column entries), several disjoin(count,
+    *column fsums, *args).  Only the column entries of those parts are read,
+    and no part is labelled: EvalReport.strategy does that when it is read."""
     if side == 0:
         return empty, "empty"
     if side & (side - 1) == 0:
         p = side.bit_length() - 1
-        return make(*(c[p] for c in columns)), f"part {Part(n, p).label()}"
-    bits = mask_bits(n, side)
-    labels = "+".join(compress(part_labels(n), bits))
-    sums = (fsum(compress(c, bits)) for c in columns)
-    return disjoin(side.bit_count(), *sums, *args), f"union {labels}"
+        return make(*(c[p] for c in columns)), "part"
+    sums = (fsum(compress(c, mask_bits(n, side))) for c in columns)
+    return disjoin(side.bit_count(), *sums, *args), "union"
 
 
 def _fuzzy_detail(
     spec: OperatorSpec, a: Assignment, columns: Columns
-) -> tuple[FuzzyValue, str, None]:
-    return *_side_detail(
+) -> tuple[FuzzyValue, str, int, None]:
+    value, route = _side_detail(
         spec.n, spec.shaded, columns, _FUZZY_EMPTY, FuzzyValue, _fuzzy_disj_sums
-    ), None
+    )
+    return value, route, spec.shaded, None
 
 
 def fuzzy_operator_eval(spec: OperatorSpec, a: Assignment) -> FuzzyValue:
@@ -201,18 +200,18 @@ def neutro_part_value(
 
 def _neutro_detail(
     spec: OperatorSpec, a: Assignment, columns: Columns
-) -> tuple[NeutrosophicValue, str, float | None]:
+) -> tuple[NeutrosophicValue, str, int | None, float | None]:
     full = spec.full_mask
     if spec.shaded == full:
-        return NeutrosophicValue(1.0, 0.0, 0.0), "full", None
+        return NeutrosophicValue(1.0, 0.0, 0.0), "full", None, None
     # literal recognition keeps projections and complementations exact even
     # when aggregation would smear indeterminacy
     for i in range(spec.n):
         projection = projection_mask(spec.n, i)
         if spec.shaded == projection:
-            return a.values[i], f"projection {a.names[i]}", None
+            return a.values[i], f"projection {a.names[i]}", None, None
         if spec.shaded == full ^ projection:
-            return neutro_neg(a.values[i]), f"complement {a.names[i]}", None
+            return neutro_neg(a.values[i]), f"complement {a.names[i]}", None, None
     count = spec.shaded.bit_count()
     # on a tie, prefer the side without the all-negated part 0
     use_complement = 2 * count > spec.part_count or (
@@ -220,12 +219,12 @@ def _neutro_detail(
     )
     side = full ^ spec.shaded if use_complement else spec.shaded
     tau = None if side & (side - 1) == 0 else diagram_norm(a)
-    value, strategy = _side_detail(
+    value, route = _side_detail(
         spec.n, side, columns, _NEUTRO_EMPTY, NeutrosophicValue, _neutro_disj_sums, tau
     )
     if use_complement:
-        return neutro_neg(value), f"negated {strategy}", tau
-    return value, strategy, tau
+        return neutro_neg(value), f"negated {route}", side, tau
+    return value, route, side, tau
 
 
 def neutro_operator_eval(
@@ -359,7 +358,14 @@ class EvalReport(Record):
 
     columns holds every part's value, shaded or not, as one float list per
     field of the aggregate's type (t, f or T, I, F), each indexed by part
-    mask; it takes part in ==, but not in hash or repr.  partition_residual
+    mask.  route names how the aggregate was formed: empty, part or union
+    for the side that was aggregated, with a negated prefix when a
+    three-component value went through the complement of the shading, or
+    full, projection x or complement x for an operator recognized whole.
+    side is the mask of the aggregated side, or None when the route
+    aggregates none; like columns it takes part in ==, but not in hash or
+    repr, which would otherwise print a 2^n-bit integer.  The strategy
+    property turns the two into text on each read.  partition_residual
     measures how far the part values drift from the exact partition
     identity: |sum of part truths - 1| for fuzzy assignments, the worst
     |part norm - diagram norm| for three-component ones.  oracle_delta is the
@@ -367,18 +373,34 @@ class EvalReport(Record):
     when no cross-check was requested.
     """
 
-    _eq_only = frozenset({"columns"})
+    _eq_only = frozenset({"columns", "side"})
 
     def __init__(
         self, spec: OperatorSpec, logic: str, columns: Columns, aggregate: Value,
-        strategy: str, tau: float | None, partition_residual: float,
-        oracle_delta: float | None,
+        route: str, side: int | None, tau: float | None,
+        partition_residual: float, oracle_delta: float | None,
     ):
         vars(self).update(
             spec=spec, logic=logic, columns=columns, aggregate=aggregate,
-            strategy=strategy, tau=tau, partition_residual=partition_residual,
+            route=route, side=side, tau=tau, partition_residual=partition_residual,
             oracle_delta=oracle_delta,
         )
+
+    @property
+    def strategy(self) -> str:
+        """The route as text, built on each read: a part or union route is
+        followed by the labels of the side's parts joined by + (part 12,
+        negated union 1+2), any other route stands as it is (empty, full,
+        projection x, complement x).  The n = 20 xor chain's union of 2^19
+        parts makes a 13,369,349-character text, so only a reader pays for
+        it."""
+        route, n = self.route, self.spec.n
+        if route.endswith("part"):
+            return f"{route} {Part(n, self.side.bit_length() - 1).label()}"
+        if route.endswith("union"):
+            labels = compress(part_labels(n), mask_bits(n, self.side))
+            return f"{route} {'+'.join(labels)}"
+        return route
 
     @property
     def part_values(self):
@@ -428,12 +450,13 @@ def _neutro_parts(a: Assignment, order: PrevalenceOrder) -> list[list[float]]:
     tau = diagram_norm(a)
     buckets = (low, list(map(sub, both, low)), list(map(sub, repeat(tau), both)))
     columns = [buckets[order.rank(c)] for c in Component]
-    if not all(-EPS_NORM <= min(c) and isfinite(sum(c)) for c in columns):
+    lows = list(map(min, columns))
+    if not all(-EPS_NORM <= m and isfinite(sum(c)) for m, c in zip(lows, columns)):
         # raise the value type's error for the first part and component a
         # per-part construction would reject
         for value in zip(*columns):
             NeutrosophicValue(*value)
-    return [[max(0.0, x) for x in c] if min(c) < 0.0 else c for c in columns]
+    return [[max(0.0, x) for x in c] if m < 0.0 else c for m, c in zip(lows, columns)]
 
 
 def _delta(x: Iterable[float], y: Iterable[float]) -> float:
@@ -485,7 +508,7 @@ def evaluate_operator(
     _require(a, spec.n, a.kind)
     part_columns, part_oracle, detail, residual = _LOGICS[a.kind]
     columns = part_columns(a, order)
-    aggregate, strategy, tau = detail(spec, a, columns)
+    aggregate, route, side, tau = detail(spec, a, columns)
     oracle_delta = None
     if with_oracle:
         expected = part_oracle(a, order)
@@ -497,7 +520,8 @@ def evaluate_operator(
         logic=a.kind,
         columns=columns,
         aggregate=aggregate,
-        strategy=strategy,
+        route=route,
+        side=side,
         tau=tau,
         partition_residual=residual(a, columns),
         oracle_delta=oracle_delta,

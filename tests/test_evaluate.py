@@ -45,7 +45,7 @@ from vennlogic import (
 )
 from vennlogic import cli, evaluate
 from vennlogic.evaluate import _neutro_detail
-from vennlogic.venn import N_MAX, mask_bits, part_labels
+from vennlogic.venn import N_MAX, mask_bits, part_labels, projection_mask
 
 FUZZY_XY = Assignment.fuzzy(("x", "y"), (0.6, 0.3))
 NEUTRO_XY = Assignment.neutrosophic(
@@ -86,6 +86,13 @@ def _outcome(f, *args):
         return f(*args)
     except VennLogicError as exc:
         return type(exc)
+
+
+def _detail_report(detail, spec, a, columns) -> EvalReport:
+    """The report of one detail routine's (value, route, side, tau) for spec
+    over columns, without the residual or oracle fields."""
+    value, route, side, tau = detail(spec, a, columns)
+    return EvalReport(spec, a.kind, columns, value, route, side, tau, 0.0, None)
 
 
 class TestAssignment:
@@ -333,14 +340,14 @@ class TestNeutroOperators:
 
         no_parts = None  # reading a column entry would raise TypeError
         for i, name in enumerate(names):
-            spec = compile_expr(parse(name), names)
-            assert _neutro_detail(spec, a, no_parts) == (
-                a.values[i], f"projection {name}", None
-            )
-            spec = compile_expr(parse(f"!{name}"), names)
-            assert _neutro_detail(spec, a, no_parts) == (
-                neutro_neg(a.values[i]), f"complement {name}", None
-            )
+            for text, value, route in (
+                (name, a.values[i], f"projection {name}"),
+                (f"!{name}", neutro_neg(a.values[i]), f"complement {name}"),
+            ):
+                spec = compile_expr(parse(text), names)
+                assert _neutro_detail(spec, a, no_parts) == (value, route, None, None)
+                report = evaluate_operator(spec, a)
+                assert (report.aggregate, report.strategy) == (value, route)
 
     def test_values_only_the_aggregated_side(self):
         # the reference values every part one at a time with
@@ -742,11 +749,91 @@ class TestValueColumns:
                 for p in {0, (1 << n) - 1, *masks}:
                     spec = OperatorSpec(n, 1 << p)
                     if kind == "fuzzy":
-                        got = evaluate._fuzzy_detail(spec, a, columns)[1]
-                        assert got == f"part {labels[p]}", (n, p)
+                        report = _detail_report(evaluate._fuzzy_detail, spec, a, columns)
+                        assert report.strategy == f"part {labels[p]}", (n, p)
                     elif n > 1:  # at n = 1 the complement of a part is a literal
-                        got = _neutro_detail(complement(spec), a, columns)[1]
-                        assert got == f"negated part {labels[p]}", (n, p)
+                        spec = complement(spec)
+                        report = _detail_report(_neutro_detail, spec, a, columns)
+                        assert report.strategy == f"negated part {labels[p]}", (n, p)
+
+    def test_strategy_is_built_when_read(self, monkeypatch):
+        # evaluate_operator labels no part: with part_labels refused, the
+        # union and negated-union routes evaluate at n = 12, and the text
+        # read afterwards is the join of the side's labels
+        n = 12
+        full = (1 << (1 << n)) - 1
+        masks = (0b110, full ^ 0b110, random.Random(1201).getrandbits(1 << n))
+        assignments = [self._assignment(kind, n, n) for kind in ("fuzzy", "neutrosophic")]
+
+        def refuse(n):
+            raise AssertionError("parts labelled")
+
+        monkeypatch.setattr(evaluate, "part_labels", refuse)
+        reports = [
+            evaluate_operator(OperatorSpec(n, mask), a)
+            for mask in masks for a in assignments
+        ]
+        with pytest.raises(AssertionError, match="parts labelled"):
+            reports[0].strategy
+        monkeypatch.undo()
+        for report in reports:
+            shaded = report.spec.shaded
+            assert report.side == (full ^ shaded if "negated" in report.route else shaded)
+            labels = "+".join(compress(part_labels(n), mask_bits(n, report.side)))
+            assert report.strategy == f"{report.route} {labels}"
+        assert {report.route for report in reports} == {"union", "negated union"}
+
+    @staticmethod
+    def _side_text(n, mask, route="") -> str:
+        """The text of aggregating the parts in mask, labelled one Part at a
+        time."""
+        labels = [Part(n, p).label() for p in range(1 << n) if mask >> p & 1]
+        if not labels:
+            return "empty"
+        return f"{route}{'part' if len(labels) == 1 else 'union'} {'+'.join(labels)}"
+
+    def test_strategy_text_route_by_route(self):
+        rng = random.Random(1612)
+        for n in range(1, 13):
+            full = (1 << (1 << n)) - 1
+            i, p = rng.randrange(n), rng.randrange(1 << n)
+            x = projection_mask(n, i)
+            cases = [  # shaded, three-component text; fuzzy sums the shading
+                (0, "empty"),
+                (full, "full"),
+                (x, f"projection x{i}"),
+                (full ^ x, f"complement x{i}"),
+            ]
+            if n > 1:  # at n = 1 every part is a literal
+                cases += [
+                    (1 << p, self._side_text(n, 1 << p)),
+                    (full ^ 1 << p, self._side_text(n, 1 << p, "negated ")),
+                    (0b110, "union 1+2"),
+                    (full ^ 0b110, "negated union 1+2"),
+                ]
+            fuzzy = self._assignment("fuzzy", n, n)
+            neutro = self._assignment("neutrosophic", n, n)
+            for shaded, want in cases:
+                spec = OperatorSpec(n, shaded)
+                got = evaluate_operator(spec, fuzzy).strategy
+                assert got == self._side_text(n, shaded), (n, shaded)
+                assert evaluate_operator(spec, neutro).strategy == want, (n, shaded)
+        # the xor chain shades half the parts, not part 0: both logics sum it
+        spec = compile_expr(parse(" ^ ".join(_names(16))), _names(16))
+        want = self._side_text(16, spec.shaded)
+        for kind in ("fuzzy", "neutrosophic"):
+            report = evaluate_operator(spec, self._assignment(kind, 16, 16))
+            assert report.strategy == want and want.startswith("union 1+2+3+")
+
+    @pytest.mark.parametrize("n", [14, 17, 20])
+    def test_repr_carries_no_labels(self, n):
+        # a decimal side mask would pass the int-to-str digit limit from
+        # n = 14, and the labels of a union run to millions of characters
+        spec = compile_expr(parse(" ^ ".join(_names(n))), _names(n))
+        text = repr(evaluate_operator(spec, self._assignment("fuzzy", n, n)))
+        assert text.startswith(f"EvalReport(spec={spec!r}, logic='fuzzy', aggregate=")
+        assert "route='union', tau=None, partition_residual=" in text
+        assert "side" not in text and "+" not in text
 
     def test_part_values_pairs(self):
         a = self._assignment("neutrosophic", 4, 4)
@@ -868,7 +955,11 @@ class TestCatalogRoute:
                 # the part columns do not depend on the spec
                 columns = evaluate_operator(OperatorSpec(2, 0), a, order).columns
                 want = _outcome(lambda: [
-                    _neutro_detail(op.spec, a, columns) for op in knuth_registry()
+                    (r.aggregate, r.strategy, r.tau)
+                    for r in (
+                        _detail_report(_neutro_detail, op.spec, a, columns)
+                        for op in knuth_registry()
+                    )
                 ])
                 got = _outcome(lambda: [
                     (row.value, row.strategy, row.tau)

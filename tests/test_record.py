@@ -1,6 +1,7 @@
 """The package's immutable value classes: fields can be neither assigned nor
 deleted, and ==, hash and repr are those of a frozen dataclass over the same
-field values, with EvalReport's columns and OperatorSpec's repr excepted."""
+field values, with EvalReport's columns and side and OperatorSpec's repr
+excepted."""
 
 import time
 from dataclasses import field, make_dataclass
@@ -71,11 +72,12 @@ SAMPLES = {
 @cache
 def _twin_class(cls):
     """A frozen dataclass with cls's fields, in order; EvalReport's columns
-    are declared as they were when it was one."""
+    are declared as they were when it was one, and its side like them."""
     fields = list(vars(SAMPLES[cls][0]))
     if cls is EvalReport:
-        i = fields.index("columns")
-        fields[i] = ("columns", object, field(repr=False, hash=False))
+        for name in ("columns", "side"):
+            i = fields.index(name)
+            fields[i] = (name, object, field(repr=False, hash=False))
     return make_dataclass(cls.__name__, fields, frozen=True)
 
 
@@ -136,6 +138,15 @@ def test_report_columns_take_part_in_eq_only():
     assert hash(report) == hash(other)
     assert repr(report) == repr(other)
     assert "columns" not in repr(report)
+
+
+def test_report_side_takes_part_in_eq_only():
+    report = SAMPLES[EvalReport][0]
+    other = EvalReport(**{**vars(report), "side": 9})
+    assert report != other and report.strategy != other.strategy
+    assert hash(report) == hash(other)
+    assert repr(report) == repr(other)
+    assert "side" not in repr(report)
 
 
 class _Link(Record):
