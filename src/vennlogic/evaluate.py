@@ -153,26 +153,26 @@ _NEUTRO_EMPTY = NeutrosophicValue(0.0, 0.0, 1.0)
 
 
 def _side_detail(n: int, side: int, columns: Columns, empty, make, disjoin, *args):
-    """Value and route of the parts set in side: no part gives the logic's
-    empty value, one part make(*its column entries), several disjoin(count,
-    *column fsums, *args).  Only the column entries of those parts are read,
-    and no part is labelled: EvalReport.strategy does that when it is read."""
+    """Value of the parts set in side: no part gives the logic's empty value,
+    one part make(*its column entries), several disjoin(count, *column
+    fsums, *args).  Only the column entries of those parts are read, and no
+    part is labelled: EvalReport.strategy does that when it is read."""
     if side == 0:
-        return empty, "empty"
+        return empty
     if side & (side - 1) == 0:
         p = side.bit_length() - 1
-        return make(*(c[p] for c in columns)), "part"
+        return make(*(c[p] for c in columns))
     sums = (fsum(compress(c, mask_bits(n, side))) for c in columns)
-    return disjoin(side.bit_count(), *sums, *args), "union"
+    return disjoin(side.bit_count(), *sums, *args)
 
 
 def _fuzzy_detail(
     spec: OperatorSpec, a: Assignment, columns: Columns
-) -> tuple[FuzzyValue, str, int, None]:
-    value, route = _side_detail(
+) -> tuple[FuzzyValue, None, int, None]:
+    value = _side_detail(
         spec.n, spec.shaded, columns, _FUZZY_EMPTY, FuzzyValue, _fuzzy_disj_sums
     )
-    return value, route, spec.shaded, None
+    return value, None, spec.shaded, None
 
 
 def fuzzy_operator_eval(spec: OperatorSpec, a: Assignment) -> FuzzyValue:
@@ -200,7 +200,7 @@ def neutro_part_value(
 
 def _neutro_detail(
     spec: OperatorSpec, a: Assignment, columns: Columns
-) -> tuple[NeutrosophicValue, str, int | None, float | None]:
+) -> tuple[NeutrosophicValue, str | None, int | None, float | None]:
     full = spec.full_mask
     if spec.shaded == full:
         return NeutrosophicValue(1.0, 0.0, 0.0), "full", None, None
@@ -219,12 +219,10 @@ def _neutro_detail(
     )
     side = full ^ spec.shaded if use_complement else spec.shaded
     tau = None if side & (side - 1) == 0 else diagram_norm(a)
-    value, route = _side_detail(
+    value = _side_detail(
         spec.n, side, columns, _NEUTRO_EMPTY, NeutrosophicValue, _neutro_disj_sums, tau
     )
-    if use_complement:
-        return neutro_neg(value), f"negated {route}", side, tau
-    return value, route, side, tau
+    return neutro_neg(value) if use_complement else value, None, side, tau
 
 
 def neutro_operator_eval(
@@ -358,14 +356,13 @@ class EvalReport(Record):
 
     columns holds every part's value, shaded or not, as one float list per
     field of the aggregate's type (t, f or T, I, F), each indexed by part
-    mask.  route names how the aggregate was formed: empty, part or union
-    for the side that was aggregated, with a negated prefix when a
-    three-component value went through the complement of the shading, or
-    full, projection x or complement x for an operator recognized whole.
-    side is the mask of the aggregated side, or None when the route
-    aggregates none; like columns it takes part in ==, but not in hash or
-    repr, which would otherwise print a 2^n-bit integer.  The strategy
-    property turns the two into text on each read.  partition_residual
+    mask.  side is the mask of the parts that were aggregated: the shading,
+    or its complement when a three-component value was negated on the way
+    out.  Like columns it takes part in ==, but not in hash or repr, which
+    would otherwise print a 2^n-bit integer.  route is the text of an
+    operator recognized whole, with no side aggregated (full, projection x,
+    complement x), and None whenever side is set.  The strategy property
+    turns the two into text on each read.  partition_residual
     measures how far the part values drift from the exact partition
     identity: |sum of part truths - 1| for fuzzy assignments, the worst
     |part norm - diagram norm| for three-component ones.  oracle_delta is the
@@ -377,7 +374,7 @@ class EvalReport(Record):
 
     def __init__(
         self, spec: OperatorSpec, logic: str, columns: Columns, aggregate: Value,
-        route: str, side: int | None, tau: float | None,
+        route: str | None, side: int | None, tau: float | None,
         partition_residual: float, oracle_delta: float | None,
     ):
         vars(self).update(
@@ -388,19 +385,22 @@ class EvalReport(Record):
 
     @property
     def strategy(self) -> str:
-        """The route as text, built on each read: a part or union route is
+        """How the aggregate was formed, as text built on each read: the
+        route of an operator recognized whole, else empty, part or union
         followed by the labels of the side's parts joined by + (part 12,
-        negated union 1+2), any other route stands as it is (empty, full,
-        projection x, complement x).  The n = 20 xor chain's union of 2^19
-        parts makes a 13,369,349-character text, so only a reader pays for
-        it."""
-        route, n = self.route, self.spec.n
-        if route.endswith("part"):
-            return f"{route} {Part(n, self.side.bit_length() - 1).label()}"
-        if route.endswith("union"):
-            labels = compress(part_labels(n), mask_bits(n, self.side))
-            return f"{route} {'+'.join(labels)}"
-        return route
+        union 1+2), with a negated prefix when the side is the complement of
+        the shading.  The n = 20 xor chain's union of 2^19 parts makes a
+        13,369,349-character text, so only a reader pays for it."""
+        side, n = self.side, self.spec.n
+        if side is None:
+            return self.route
+        if side == 0:
+            return "empty"
+        negated = "negated " if side != self.spec.shaded else ""
+        if side & (side - 1) == 0:
+            return f"{negated}part {Part(n, side.bit_length() - 1).label()}"
+        labels = compress(part_labels(n), mask_bits(n, side))
+        return f"{negated}union {'+'.join(labels)}"
 
     @property
     def part_values(self):

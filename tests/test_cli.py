@@ -205,6 +205,21 @@ class TestEvalNeutrosophic:
         assert rc == 0
         assert out.splitlines()[0] == "part,shaded,T,I,F"
 
+    @pytest.mark.parametrize("name", ["part", "apart", "union", "xunion"])
+    def test_literal_named_like_a_route(self, capsys, name):
+        # a variable's name is the literal's text, whatever it ends in
+        for expr, route in ((name, "projection"), (f"!{name}", "complement")):
+            payload = run_json(
+                capsys, "eval", "-e", expr, "-a", f"{name}=0.5,0.3,0.2;q=0.4,0.4,0.2",
+                "--logic", "neutrosophic",
+            )
+            assert payload["strategy"] == f"{route} {name}"
+        rc, out, _ = run(
+            capsys, "eval", "-e", name, "-a", f"{name}=0.5,0.3,0.2",
+            "--logic", "neutrosophic", "--format", "markdown",
+        )
+        assert rc == 0 and f"strategy: projection {name}\n" in out
+
     def test_xor_reports_tau(self, capsys):
         payload = run_json(
             capsys,
@@ -834,6 +849,16 @@ class TestTables:
         by_index = {r["index"]: r for r in payload["rows"]}
         assert by_index[8]["value"] == {"T": 0.0, "I": 0.0, "F": 1.0}
         assert by_index[14]["value"] == {"T": 1.0, "I": 0.0, "F": 0.0}
+
+    @pytest.mark.parametrize("names", [("apart", "q"), ("p", "xunion")])
+    def test_table2_literals_named_like_a_route(self, capsys, names):
+        x, y = names
+        payload = run_json(
+            capsys, "table", "2", "-a", f"{x}=0.5,0.3,0.2;{y}=0.4,0.4,0.2"
+        )
+        by_index = {r["index"]: r["strategy"] for r in payload["rows"]}
+        assert (by_index[10], by_index[12]) == (f"projection {x}", f"projection {y}")
+        assert (by_index[5], by_index[3]) == (f"complement {x}", f"complement {y}")
 
 
     @pytest.mark.parametrize("order", ["TIF", "ITF", "TFI"])
