@@ -890,9 +890,10 @@ class TestTables:
                 assert (payload["strategy"], payload["tau"]) == (row["strategy"], row["tau"])
 
 
-# exact stdout of commands that print records, byte for byte: JSON key
-# order, values rounded to 12 significant digits and null fields, and table
-# 2's csv and markdown cells, %.12g values and empty tau cells
+# exact stdout of every command in every format, byte for byte: JSON key
+# order, values rounded to 12 significant digits and null fields; csv and
+# markdown headers, %.12g cells, empty tau and shaded cells and the lines
+# before and after a markdown table
 PINNED_STDOUT = [
     (
         'table 2',
@@ -1052,6 +1053,182 @@ PINNED_STDOUT = [
         "| 13 | 13 | Implication; only if; if...then | 0 | 0 | 1 | negated part 1 |  |\n"
         "| 14 | 7 | Nonconjunction; not both...and; nand | 1 | 0 | 0 | negated part 12 |  |\n"
         "| 15 | 15 | Affirmation; validity; tautology; constant 1 | 1 | 0 | 0 | full |  |\n"
+    ),
+    (
+        'codify -e "x & y | !z" -v x,y,z',
+        '{"expression": "x & y | !z", "vars": ["x", "y", "z"], "n": 3, '
+        '"index": 143, "parts": ["0", "1", "2", "12", "123"], "bits": [0, 1, 2, '
+        "3, 7]}"
+        "\n",
+    ),
+    (
+        'codify -e "x & y | !z" -v x,y,z --format csv',
+        "expression,n,index,parts\n"
+        "x & y | !z,3,143,0 1 2 12 123\n"
+    ),
+    (
+        'codify -e "x & y | !z" -v x,y,z --format markdown',
+        "expression: `x & y | !z`  vars: x, y, z\n"
+        "index: 143\n"
+        "| part | bit |\n"
+        "| --- | --- |\n"
+        "| 0 | 0 |\n"
+        "| 1 | 1 |\n"
+        "| 2 | 2 |\n"
+        "| 12 | 3 |\n"
+        "| 123 | 7 |\n"
+    ),
+    (
+        'eval -e "x -> y" -a "x=0.6;y=0.3" --oracle --format csv',
+        "part,shaded,t,f\n"
+        "0,1,0.28,0.72\n"
+        "1,0,0.42,0.58\n"
+        "2,1,0.12,0.88\n"
+        "12,1,0.18,0.82\n"
+        "aggregate,,0.58,0.42\n"
+    ),
+    (
+        'eval -e "x -> y" -a "x=0.6;y=0.3" --oracle --format markdown',
+        "| part | shaded | t | f |\n"
+        "| --- | --- | --- | --- |\n"
+        "| 0 | 1 | 0.28 | 0.72 |\n"
+        "| 1 | 0 | 0.42 | 0.58 |\n"
+        "| 2 | 1 | 0.12 | 0.88 |\n"
+        "| 12 | 1 | 0.18 | 0.82 |\n"
+        "| aggregate |  | 0.58 | 0.42 |\n"
+        "strategy: union 0+2+12\n"
+        "oracle delta: 1.11022302463e-16\n"
+    ),
+    (
+        'eval -e "x ^ y" -a "x=0.5,0.3,0.2;y=0.4,0.4,0.2" --logic neutrosophic --oracle --format csv',
+        "part,shaded,T,I,F\n"
+        "0,0,0.04,0.26,0.7\n"
+        "1,1,0.1,0.38,0.52\n"
+        "2,1,0.08,0.32,0.6\n"
+        "12,0,0.2,0.44,0.36\n"
+        "aggregate,,0.18,0.315384615385,0.504615384615\n"
+    ),
+    (
+        'eval -e "x ^ y" -a "x=0.5,0.3,0.2;y=0.4,0.4,0.2" --logic neutrosophic --oracle --format markdown',
+        "| part | shaded | T | I | F |\n"
+        "| --- | --- | --- | --- | --- |\n"
+        "| 0 | 0 | 0.04 | 0.26 | 0.7 |\n"
+        "| 1 | 1 | 0.1 | 0.38 | 0.52 |\n"
+        "| 2 | 1 | 0.08 | 0.32 | 0.6 |\n"
+        "| 12 | 0 | 0.2 | 0.44 | 0.36 |\n"
+        "| aggregate |  | 0.18 | 0.315384615385 | 0.504615384615 |\n"
+        "strategy: union 1+2\n"
+        "tau: 1\n"
+        "oracle delta: 2.22044604925e-16\n"
+    ),
+    (
+        'eval -e "x | y & z" -a "x=0;y=1;z=1" --logic boolean',
+        '{"expression": "x | y & z", "vars": ["x", "y", "z"], '
+        '"logic": "boolean", "order": "TIF", "index": 234, '
+        '"parts": {"0": {"t": 0.0, "f": 1.0}, "1": {"t": 0.0, "f": 1.0}, '
+        '"2": {"t": 0.0, "f": 1.0}, "12": {"t": 0.0, "f": 1.0}, "3": {"t": 0.0, '
+        '"f": 1.0}, "13": {"t": 0.0, "f": 1.0}, "23": {"t": 1.0, "f": 0.0}, '
+        '"123": {"t": 0.0, "f": 1.0}}, "aggregate": {"t": 1.0, "f": 0.0}, '
+        '"strategy": "union 1+12+13+23+123", "tau": null, "oracle_delta": null, '
+        '"partition_residual": 0.0}'
+        "\n",
+    ),
+    (
+        "table 1",
+        '{"table": 1, "row_to_index": [0, 8, 2, 10, 4, 12, 6, 14, 1, 9, 3, 11, '
+        '5, 13, 7, 15], "rows": [{"row": 0, "index": 0, "truth": "0", '
+        '"symbol": "⊥", "name": "Contradiction; falsehood; constant 0"}, '
+        '{"row": 1, "index": 8, "truth": "t1*t2", "symbol": "∧", '
+        '"name": "Conjunction; and"}, {"row": 2, "index": 2, '
+        '"truth": "t1 - t1*t2", "symbol": "⊅", '
+        '"name": "Nonimplication; difference; but not"}, {"row": 3, "index": 10, '
+        '"truth": "t1", "symbol": "L", "name": "Left projection"}, {"row": 4, '
+        '"index": 4, "truth": "t2 - t1*t2", "symbol": "⊄", '
+        '"name": "Converse nonimplication; not...but"}, {"row": 5, "index": 12, '
+        '"truth": "t2", "symbol": "R", "name": "Right projection"}, {"row": 6, '
+        '"index": 6, "truth": "t1 + t2 - 2*t1*t2", "symbol": "⊕", '
+        '"name": "Exclusive disjunction; nonequivalence; xor"}, {"row": 7, '
+        '"index": 14, "truth": "t1 + t2 - t1*t2", "symbol": "∨", '
+        '"name": "Inclusive disjunction; or; and/or"}, {"row": 8, "index": 1, '
+        '"truth": "1 - t1 - t2 + t1*t2", "symbol": "⊽", '
+        '"name": "Nondisjunction; joint denial; neither...nor"}, {"row": 9, '
+        '"index": 9, "truth": "1 - t1 - t2 + 2*t1*t2", "symbol": "≡", '
+        '"name": "Equivalence; if and only if"}, {"row": 10, "index": 3, '
+        '"truth": "1 - t2", "symbol": "¬R", "name": "Right complementation"}, '
+        '{"row": 11, "index": 11, "truth": "1 - t2 + t1*t2", "symbol": "⊂", '
+        '"name": "Converse implication; if"}, {"row": 12, "index": 5, '
+        '"truth": "1 - t1", "symbol": "¬L", "name": "Left complementation"}, '
+        '{"row": 13, "index": 13, "truth": "1 - t1 + t1*t2", "symbol": "⊃", '
+        '"name": "Implication; only if; if...then"}, {"row": 14, "index": 7, '
+        '"truth": "1 - t1*t2", "symbol": "⊼", '
+        '"name": "Nonconjunction; not both...and; nand"}, {"row": 15, '
+        '"index": 15, "truth": "1", "symbol": "⊤", '
+        '"name": "Affirmation; validity; tautology; constant 1"}]}'
+        "\n",
+    ),
+    (
+        "table 1 --format csv",
+        "row,index,truth,symbol,name\n"
+        "0,0,0,⊥,Contradiction; falsehood; constant 0\n"
+        "1,8,t1*t2,∧,Conjunction; and\n"
+        "2,2,t1 - t1*t2,⊅,Nonimplication; difference; but not\n"
+        "3,10,t1,L,Left projection\n"
+        "4,4,t2 - t1*t2,⊄,Converse nonimplication; not...but\n"
+        "5,12,t2,R,Right projection\n"
+        "6,6,t1 + t2 - 2*t1*t2,⊕,Exclusive disjunction; nonequivalence; xor\n"
+        "7,14,t1 + t2 - t1*t2,∨,Inclusive disjunction; or; and/or\n"
+        "8,1,1 - t1 - t2 + t1*t2,⊽,Nondisjunction; joint denial; neither...nor\n"
+        "9,9,1 - t1 - t2 + 2*t1*t2,≡,Equivalence; if and only if\n"
+        "10,3,1 - t2,¬R,Right complementation\n"
+        "11,11,1 - t2 + t1*t2,⊂,Converse implication; if\n"
+        "12,5,1 - t1,¬L,Left complementation\n"
+        "13,13,1 - t1 + t1*t2,⊃,Implication; only if; if...then\n"
+        "14,7,1 - t1*t2,⊼,Nonconjunction; not both...and; nand\n"
+        "15,15,1,⊤,Affirmation; validity; tautology; constant 1\n"
+    ),
+    (
+        "table 1 --format markdown",
+        "| row | index | truth | symbol | name |\n"
+        "| --- | --- | --- | --- | --- |\n"
+        "| 0 | 0 | 0 | ⊥ | Contradiction; falsehood; constant 0 |\n"
+        "| 1 | 8 | t1*t2 | ∧ | Conjunction; and |\n"
+        "| 2 | 2 | t1 - t1*t2 | ⊅ | Nonimplication; difference; but not |\n"
+        "| 3 | 10 | t1 | L | Left projection |\n"
+        "| 4 | 4 | t2 - t1*t2 | ⊄ | Converse nonimplication; not...but |\n"
+        "| 5 | 12 | t2 | R | Right projection |\n"
+        "| 6 | 6 | t1 + t2 - 2*t1*t2 | ⊕ | Exclusive disjunction; nonequivalence; xor |\n"
+        "| 7 | 14 | t1 + t2 - t1*t2 | ∨ | Inclusive disjunction; or; and/or |\n"
+        "| 8 | 1 | 1 - t1 - t2 + t1*t2 | ⊽ | Nondisjunction; joint denial; neither...nor |\n"
+        "| 9 | 9 | 1 - t1 - t2 + 2*t1*t2 | ≡ | Equivalence; if and only if |\n"
+        "| 10 | 3 | 1 - t2 | ¬R | Right complementation |\n"
+        "| 11 | 11 | 1 - t2 + t1*t2 | ⊂ | Converse implication; if |\n"
+        "| 12 | 5 | 1 - t1 | ¬L | Left complementation |\n"
+        "| 13 | 13 | 1 - t1 + t1*t2 | ⊃ | Implication; only if; if...then |\n"
+        "| 14 | 7 | 1 - t1*t2 | ⊼ | Nonconjunction; not both...and; nand |\n"
+        "| 15 | 15 | 1 | ⊤ | Affirmation; validity; tautology; constant 1 |\n"
+    ),
+    (
+        "parts 2",
+        '{"n": 2, "parts": [{"label": "0", "mask": 0}, {"label": "1", '
+        '"mask": 1}, {"label": "2", "mask": 2}, {"label": "12", "mask": 3}]}'
+        "\n",
+    ),
+    (
+        "parts 2 --format csv",
+        "label,mask\n"
+        "0,0\n"
+        "1,1\n"
+        "2,2\n"
+        "12,3\n"
+    ),
+    (
+        "parts 2 --format markdown",
+        "| label | mask |\n"
+        "| --- | --- |\n"
+        "| 0 | 0 |\n"
+        "| 1 | 1 |\n"
+        "| 2 | 2 |\n"
+        "| 12 | 3 |\n"
     ),
 ]
 
