@@ -41,7 +41,7 @@ from .evaluate import (
     fuzzy_operator_table,
     neutro_operator_table,
 )
-from .expr import compile_expr, parse
+from .expr import _NAME_RE, KEYWORDS, compile_expr, parse
 from .logic_core import ORDERS, PrevalenceOrder
 from .record import Record
 from .venn import mask_bits, part_labels
@@ -65,10 +65,6 @@ def _json(x):
     return _round12(x) if isinstance(x, float) else x
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, ensure_ascii=False))
-
-
 def _write_rows(template, rows, sep="") -> None:
     """Write each row through template, sep between rows, with one % operation
     per chunk of 1,024 rows, so no 2^n-row list or string is built."""
@@ -80,23 +76,37 @@ def _write_rows(template, rows, sep="") -> None:
         lead = sep
 
 
-def _emit_table(fmt, header, cells, rows) -> None:
-    """Print a header and rows as CSV or else markdown, each row's columns
-    through cells, one %-format per column."""
+def _emit(fmt, payload, header, cells, rows, before=(), after=()) -> None:
+    """Print JSON of payload() (built for JSON only), csv of the header and
+    rows, or else markdown: the before lines, the table and the after lines.
+    Each row's columns go through cells, one %-format per column."""
+    if fmt == "json":
+        print(json.dumps(payload(), ensure_ascii=False))
+        return
     if fmt == "csv":
         print(",".join(header))
         _write_rows(",".join(cells) + "\n", rows)
         return
+    sys.stdout.writelines(f"{line}\n" for line in before)
     print("| " + " | ".join(header) + " |")
     print("|" + "|".join(" --- " for _ in header) + "|")
     _write_rows("| " + " | ".join(cells) + " |\n", rows)
+    sys.stdout.writelines(f"{line}\n" for line in after)
+
+
+def _name(raw: str, at: int) -> str:
+    """raw stripped, if a formula can spell it; at is raw's offset in its text."""
+    name = raw.strip()
+    if _NAME_RE.fullmatch(name) and name not in KEYWORDS:
+        return name
+    raise ParseError(f"bad variable name {name!r}", at + raw.find(name), {"name"})
 
 
 def _parse_vars(text: str) -> tuple[str, ...]:
     blank = re.search(r"(?<![^,])\s*(?![^,])", text)  # the first empty or blank name
     if blank:
         raise ParseError(f"bad variable list {text!r}", blank.start(), {"name"})
-    return tuple(name.strip() for name in text.split(","))
+    return tuple(_name(m.group(), m.start()) for m in re.finditer("[^,]+", text))
 
 
 def _parse_assignment(
@@ -110,9 +120,9 @@ def _parse_assignment(
         if not chunk:
             continue
         name, eq, rhs = chunk.partition("=")
-        name = name.strip()
-        if not eq or not name:
+        if not eq or not name.strip():
             raise ParseError(f"bad assignment entry {chunk!r}", at, {"name=value"})
+        name = _name(name, at + m.group().find(chunk))
         try:
             comps = [float(c) for c in rhs.split(",")]
         except ValueError:
@@ -149,32 +159,32 @@ def _parse_assignment(
 def cmd_codify(args) -> int:
     names = _parse_vars(args.vars)
     spec = compile_expr(parse(args.expr), names)
+    # str() before anything 2^n long is built, so a failed conversion prints nothing
+    index = str(spec.shaded)
     shaded = mask_bits(spec.n, spec.shaded)
     labels = compress(part_labels(spec.n), shaded)
     masks = compress(range(spec.part_count), shaded)
-    if args.format == "json":
-        _emit_json(
-            {
-                "expression": args.expr,
-                "vars": list(names),
-                "n": spec.n,
-                "index": spec.shaded,
-                "parts": list(labels),
-                "bits": list(masks),
-            }
-        )
-        return 0
-    # str() before the first line goes out, so a failed conversion prints nothing
-    index = str(spec.shaded)
+    header, cells, rows = ("part", "bit"), ("%s", "%s"), zip(labels, masks)
     if args.format == "csv":
         # ',' and '"' do not parse, so only a line break needs CSV quotes
         expr = f'"{args.expr}"' if re.search("[\r\n]", args.expr) else args.expr
-        row = (expr, spec.n, index, " ".join(labels))
-        _emit_table("csv", ("expression", "n", "index", "parts"), ("%s",) * 4, [row])
-    else:
-        print(f"expression: `{args.expr}`  vars: {', '.join(names)}")
-        print(f"index: {index}")
-        _emit_table("markdown", ("part", "bit"), ("%s", "%s"), zip(labels, masks))
+        header, cells = ("expression", "n", "index", "parts"), ("%s",) * 4
+        rows = [(expr, spec.n, index, " ".join(labels))]
+    _emit(
+        args.format,
+        lambda: {
+            "expression": args.expr,
+            "vars": list(names),
+            "n": spec.n,
+            "index": spec.shaded,
+            "parts": list(labels),
+            "bits": list(masks),
+        },
+        header,
+        cells,
+        rows,
+        (f"expression: `{args.expr}`  vars: {', '.join(names)}", f"index: {index}"),
+    )
     return 0
 
 
@@ -188,37 +198,32 @@ def cmd_eval(args) -> int:
     # rows' labels exist, so one list is alive at a time; csv never prints it
     strategy = None if args.format == "csv" else report.strategy
     labels = part_labels(spec.n)
-    columns = report.columns
-    if args.format == "json":
-        _emit_json(
-            {
-                "expression": args.expr,
-                "vars": list(assignment.names),
-                "logic": args.logic,
-                "order": str(order),
-                "index": spec.shaded,
-                "parts": {
-                    label: dict(zip(fields, map(_round12, xs)))
-                    for label, *xs in zip(labels, *columns)
-                },
-                "aggregate": _json(report.aggregate),
-                "strategy": strategy,
-                "tau": _json(report.tau),
-                "oracle_delta": _json(report.oracle_delta),
-                "partition_residual": _round12(report.partition_residual),
-            }
-        )
-        return 0
-    aggregate = ("aggregate", "", *vars(report.aggregate).values())
-    rows = chain(zip(labels, mask_bits(spec.n, spec.shaded), *columns), [aggregate])
-    cells = ("%s", "%s", *["%.12g"] * len(fields))
-    _emit_table(args.format, ("part", "shaded", *fields), cells, rows)
-    if args.format == "markdown":
-        print(f"strategy: {strategy}")
-        if report.tau is not None:
-            print(f"tau: {_fmt(report.tau)}")
-        if report.oracle_delta is not None:
-            print(f"oracle delta: {_fmt(report.oracle_delta)}")
+    aggregate = [("aggregate", "", *vars(report.aggregate).values())]
+    footer = (("tau", report.tau), ("oracle delta", report.oracle_delta))
+    _emit(
+        args.format,
+        lambda: {
+            "expression": args.expr,
+            "vars": list(assignment.names),
+            "logic": args.logic,
+            "order": str(order),
+            "index": spec.shaded,
+            "parts": {
+                label: dict(zip(fields, map(_round12, xs)))
+                for label, *xs in zip(labels, *report.columns)
+            },
+            "aggregate": _json(report.aggregate),
+            "strategy": strategy,
+            "tau": _json(report.tau),
+            "oracle_delta": _json(report.oracle_delta),
+            "partition_residual": _round12(report.partition_residual),
+        },
+        ("part", "shaded", *fields),
+        ("%s", "%s", *["%.12g"] * len(fields)),
+        chain(zip(labels, mask_bits(spec.n, spec.shaded), *report.columns), aggregate),
+        after=[f"strategy: {strategy}"]
+        + [f"{key}: {_fmt(x)}" for key, x in footer if x is not None],
+    )
     return 0
 
 
@@ -229,57 +234,60 @@ def cmd_table(args) -> int:
             (r.row, r.index, r.truth_poly, r.symbol, r.name)
             for r in fuzzy_operator_table()
         ]
-        if args.format == "json":
-            rows = [dict(zip(header, row)) for row in table]
-            index = [row[1] for row in table]
-            _emit_json({"table": 1, "row_to_index": index, "rows": rows})
-        else:
-            _emit_table(args.format, header, ("%s",) * len(header), table)
+        _emit(
+            args.format,
+            lambda: {
+                "table": 1,
+                "row_to_index": [row[1] for row in table],
+                "rows": [dict(zip(header, row)) for row in table],
+            },
+            header,
+            ("%s",) * len(header),
+            table,
+        )
         return 0
     assignment = _parse_assignment(args.assign or DEFAULT_TABLE2_ASSIGN, "neutrosophic")
     order = PrevalenceOrder.from_string(args.order)
     rows = neutro_operator_table(assignment, order)
-    if args.format == "json":
-        _emit_json(
-            {
-                "table": 2,
-                "assignment": dict(
-                    zip(assignment.names, map(_json, assignment.values))
-                ),
-                "order": str(order),
-                "row_to_index": [r.index for r in rows],
-                "rows": list(map(_json, rows)),
-            }
-        )
-    else:
-        table = [
+    fields = vars(rows[0].value)
+    _emit(
+        args.format,
+        lambda: {
+            "table": 2,
+            "assignment": dict(
+                zip(assignment.names, map(_json, assignment.values))
+            ),
+            "order": str(order),
+            "row_to_index": [r.index for r in rows],
+            "rows": list(map(_json, rows)),
+        },
+        ("row", "index", "name", *fields, "strategy", "tau"),
+        ("%s", "%s", "%s", *["%.12g"] * len(fields), "%s", "%s"),
+        [
             (r.row, r.index, r.name, *vars(r.value).values(), r.strategy, _fmt(r.tau))
             for r in rows
-        ]
-        fields = vars(rows[0].value)
-        header = ("row", "index", "name", *fields, "strategy", "tau")
-        cells = ("%s", "%s", "%s", *["%.12g"] * len(fields), "%s", "%s")
-        _emit_table(args.format, header, cells, table)
+        ],
+    )
     return 0
 
 
 def cmd_parts(args) -> int:
     rows = zip(part_labels(args.n), range(1 << args.n))
     if args.format == "json":
-        # the bytes of one json.dumps of the whole payload: labels are digits
-        # and dots, which JSON writes as they are
+        # streamed, so n = 20 stays in bounded memory: the bytes of one
+        # json.dumps of the payload, as labels are digits and dots
         sys.stdout.write(f'{{"n": {args.n}, "parts": [')
         _write_rows('{"label": "%s", "mask": %d}', rows, ", ")
         sys.stdout.write("]}\n")
     else:
-        _emit_table(args.format, ("label", "mask"), ("%s", "%s"), rows)
+        _emit(args.format, None, ("label", "mask"), ("%s", "%s"), rows)
     return 0
 
 
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    ok = run_selftest(seed=args.seed, inject_failure=args.inject_failure)
+    ok = run_selftest(seed=args.seed)
     return 0 if ok else SelfTestFailure.exit_code
 
 
@@ -359,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     selftest = sub.add_parser("selftest", help="run the seeded property suites")
     selftest.add_argument("--seed", type=int, default=0)
-    selftest.add_argument(
-        "--inject-failure", action="store_true", help=argparse.SUPPRESS
-    )
     selftest.set_defaults(handler=cmd_selftest)
 
     return parser

@@ -298,6 +298,41 @@ class TestErrorPaths:
             "error: variable 'y': non-numeric component in '0.5,a' (offset 6)\n"
         )
 
+    # -v and -a names follow the formula's name rule, so no csv field or
+    # markdown cell holds a ',', '"' or '|' of a name
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a|b", "1x", "and"])
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_table2_name_follows_the_formula_rule(self, capsys, name, fmt):
+        for assign, offset in [
+            (f"{name}=0.5,0.3,0.2;q=0.4,0.4,0.2", 0),
+            (f"q=0.4,0.4,0.2; {name}=0.5,0.3,0.2", 15),
+        ]:
+            assert run(capsys, "table", "2", "-a", assign, "--format", fmt) == (
+                2,
+                "",
+                f"error: bad variable name {name!r} (offset {offset})\n",
+            )
+
+    def test_assignment_name_follows_the_formula_rule(self, capsys):
+        assert run(capsys, "eval", "-e", "q", "-a", "1x=0.5;q=0.3") == (
+            2,
+            "",
+            "error: bad variable name '1x' (offset 0)\n",
+        )
+        with pytest.raises(ParseError) as info:
+            cli._parse_assignment("q=0.3;  1x = 0.5", "fuzzy")
+        assert (info.value.offset, info.value.expected) == (8, {"name"})
+
+    def test_vars_name_follows_the_formula_rule(self, capsys):
+        assert run(capsys, "codify", "-e", "x", "-v", "x,1y") == (
+            2,
+            "",
+            "error: bad variable name '1y' (offset 2)\n",
+        )
+        with pytest.raises(ParseError) as info:
+            cli._parse_vars("x, or")
+        assert (info.value.offset, info.value.expected) == (3, {"name"})
+
     def test_wrong_component_count_is_usage(self, capsys):
         rc, _, err = run(
             capsys, "eval", "-e", "x", "-a", "x=0.5", "--logic", "neutrosophic"
@@ -1282,8 +1317,14 @@ class TestSelftest:
         assert (rc1, rc2) == (0, 0)
         assert out1 == out2
 
-    def test_injected_failure(self, capsys):
-        rc, out, _ = run(capsys, "selftest", "--seed", "42", "--inject-failure")
+    def test_injected_failure(self, capsys, monkeypatch):
+        # inclusion_exclusion read 1e-6 high: the union-falsehood suite checks
+        # it against the complementary product
+        from vennlogic import selftest
+
+        real = selftest.inclusion_exclusion
+        monkeypatch.setattr(selftest, "inclusion_exclusion", lambda a: real(a) + 1e-6)
+        rc, out, _ = run(capsys, "selftest", "--seed", "42")
         assert rc == 4
         assert "FAIL union-falsehood-identity" in out
 

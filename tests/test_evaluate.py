@@ -6,6 +6,8 @@ from itertools import compress, islice, permutations, product, repeat
 from math import fsum, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vennlogic import (
     ITF,
@@ -1168,3 +1170,73 @@ class TestOracleColumns:
             argv = ["eval", "-e", " ^ ".join(_names(12)), "-a", assign, "--oracle"]
             rc = cli.main([*argv, "--format", fmt])
             assert (rc, capsys.readouterr().err) == (0, ""), fmt
+
+
+# The ten connectives as the truth values at (a, b) = (0, 0), (0, 1), (1, 0)
+# and (1, 1), each with one spelling, written out here rather than read from
+# the parser's table.
+READ_ONCE_CONNECTIVES = {
+    "&": (0, 0, 0, 1),
+    "|": (0, 1, 1, 1),
+    "^": (0, 1, 1, 0),
+    "->": (1, 1, 0, 1),
+    "<-": (1, 0, 1, 1),
+    "<->": (1, 0, 0, 1),
+    "nand": (1, 1, 1, 0),
+    "nor": (1, 0, 0, 0),
+    "!->": (0, 0, 1, 0),
+    "!<-": (0, 1, 0, 0),
+}
+
+
+@st.composite
+def read_once_formulas(draw, sizes):
+    """A formula over x0 .. x(n-1) that reads every variable once, its text
+    fully parenthesized, with the truth of each variable and the formula's
+    own truth.  The variables are independent, so a connective's truth is
+    the sum over its table's true rows of the operands' truths (or their
+    complements) multiplied; a negation complements it."""
+    n = draw(st.sampled_from(sizes))
+    leaves = draw(st.permutations(range(n)))
+    truths = draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            text, p = f"x{leaves[lo]}", truths[leaves[lo]]
+        else:
+            cut = draw(st.integers(lo + 1, hi - 1))
+            op = draw(st.sampled_from(sorted(READ_ONCE_CONNECTIVES)))
+            (left, a), (right, b) = build(lo, cut), build(cut, hi)
+            table = READ_ONCE_CONNECTIVES[op]
+            p = sum(
+                table[2 * i + j] * (a if i else 1 - a) * (b if j else 1 - b)
+                for i in (0, 1)
+                for j in (0, 1)
+            )
+            text = f"({left} {op} {right})"
+        return (f"!{text}", 1 - p) if draw(st.booleans()) else (text, p)
+
+    text, truth = build(0, n)
+    return [f"x{i}" for i in range(n)], truths, text, truth
+
+
+def _check_read_once(case):
+    names, truths, text, truth = case
+    spec = compile_expr(parse(text), names)
+    report = evaluate_operator(spec, Assignment.fuzzy(names, truths))
+    assert abs(report.aggregate.t - truth) <= 1e-12, text
+
+
+class TestReadOnceOracle:
+    # a read-once formula's fuzzy truth, found by recursion over its own tree,
+    # against the shaded-mask evaluation
+    @settings(max_examples=60, deadline=None)
+    @given(read_once_formulas(range(1, 13)))
+    def test_up_to_twelve(self, case):
+        _check_read_once(case)
+
+    # 0.3 to 0.4 s per formula at n = 20
+    @settings(max_examples=4, deadline=None)
+    @given(read_once_formulas((16, 20)))
+    def test_sixteen_and_twenty(self, case):
+        _check_read_once(case)
