@@ -41,7 +41,7 @@ from .evaluate import (
     fuzzy_operator_table,
     neutro_operator_table,
 )
-from .expr import _NAME_RE, KEYWORDS, compile_expr, parse
+from .expr import _is_name, compile_expr, parse
 from .logic_core import ORDERS, PrevalenceOrder
 from .record import Record
 from .venn import mask_bits, part_labels
@@ -97,7 +97,7 @@ def _emit(fmt, payload, header, cells, rows, before=(), after=()) -> None:
 def _name(raw: str, at: int) -> str:
     """raw stripped, if a formula can spell it; at is raw's offset in its text."""
     name = raw.strip()
-    if _NAME_RE.fullmatch(name) and name not in KEYWORDS:
+    if _is_name(name):
         return name
     raise ParseError(f"bad variable name {name!r}", at + raw.find(name), {"name"})
 

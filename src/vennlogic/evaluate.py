@@ -11,6 +11,7 @@ from math import fsum, isfinite, prod
 from operator import add, sub
 
 from .errors import ArityMismatch, DomainError, OracleTooLarge, VerificationFailure
+from .expr import _name_fault, _usable
 from .logic_core import (
     EPS_NORM,
     TIF,
@@ -91,8 +92,8 @@ def _check_names(names: tuple, count: int) -> None:
     """The usage faults of a name list given count values."""
     if not names:
         raise ArityMismatch("assignment needs at least one variable")
-    if len(set(names)) != len(names):
-        raise ArityMismatch("duplicate variable names in assignment")
+    if not _usable(names):
+        raise _name_fault(names, " in assignment")
     if count != len(names):
         raise ArityMismatch(f"{len(names)} variable names but {count} values")
 
@@ -204,15 +205,16 @@ def _neutro_detail(
     full = spec.full_mask
     if spec.shaded == full:
         return NeutrosophicValue(1.0, 0.0, 0.0), "full", None, None
-    # literal recognition keeps projections and complementations exact even
-    # when aggregation would smear indeterminacy
-    for i in range(spec.n):
-        projection = projection_mask(spec.n, i)
-        if spec.shaded == projection:
-            return a.values[i], f"projection {a.names[i]}", None, None
-        if spec.shaded == full ^ projection:
-            return neutro_neg(a.values[i]), f"complement {a.names[i]}", None, None
     count = spec.shaded.bit_count()
+    # literal recognition keeps projections and complementations exact even
+    # when aggregation would smear indeterminacy; each shades half the parts
+    if 2 * count == spec.part_count:
+        for i in range(spec.n):
+            projection = projection_mask(spec.n, i)
+            if spec.shaded == projection:
+                return a.values[i], f"projection {a.names[i]}", None, None
+            if spec.shaded == full ^ projection:
+                return neutro_neg(a.values[i]), f"complement {a.names[i]}", None, None
     # on a tie, prefer the side without the all-negated part 0
     use_complement = 2 * count > spec.part_count or (
         2 * count == spec.part_count and spec.shaded & 1
@@ -256,29 +258,39 @@ def oracle_expand(
 
     Drawings share their prefixes.  The leading operands (all but the last
     seven) stream through itertools.product; of the last (up to) seven, all
-    but the final one expand as lists, each level extending the products of
-    the level before, so memory stays at 3^6 terms for any k.  The final
-    operand is folded in per listed term: its T, I and F products go straight
-    to their three buckets, which _bucket_map holds ready for every strongest
-    class of the drawing so far.  Each term is still formed left to right
-    from 1.0 and added to its bucket with a plain += in itertools.product
-    order, so every bucket is bit-identical to multiplying out and adding
-    each drawing on its own.
+    but the final two expand as lists, each level extending the products of
+    the level before, so memory stays at 3^5 terms for any k.  The final two
+    operands are folded in per listed term, whose strongest class so far
+    _strongest_rows holds ready: once a term has drawn the strongest class,
+    all nine products go to its bucket, and otherwise each component of the
+    second-to-last operand sends the final operand's products to the buckets
+    its own rank leaves open.  The three buckets are local sums.  Each term is
+    still formed left to right from 1.0 and every bucket gets its addends
+    with plain additions in itertools.product order, so every bucket is
+    bit-identical to multiplying out and adding each drawing on its own.
     """
     k = len(values)
     if k < 1:
         raise DomainError("oracle needs at least one operand")
     if k > ORACLE_MAX_K:
         raise OracleTooLarge(f"3^{k} terms exceed the budget of 3^{ORACLE_MAX_K}")
-    ranks = tuple(order.rank(c) for c in Component)
+    if k == 1:
+        # one drawing per component, each alone in its own bucket
+        v = values[0]
+        return NeutrosophicValue(0.0 + v.T, 0.0 + v.I, 0.0 + v.F)
+    ranks, weaker, (weak, middle, strong) = _order_plan(order.order)
     head, tail = values[:-_ORACLE_TAIL], values[-_ORACLE_TAIL:]
-    *body, last = tail
-    lT, lI, lF = last.T, last.I, last.F
-    bucket_map = _bucket_map(ranks, len(tail))
-    buckets = [0.0, 0.0, 0.0]  # indexed by rank
+    *body, second, last = tail
+    pT, pI, pF = second.T, second.I, second.F
+    seconds = tuple(zip((pT, pI, pF), ranks))
+    finals = lT, lI, lF = last.T, last.I, last.F
+    la, lb = (finals[c] for c in weaker)
+    lw, lm, ls = finals[weak], finals[middle], finals[strong]
+    rows = _strongest_rows(ranks, len(tail))
+    b0 = b1 = b2 = 0.0  # the buckets, by rank
     for drawing in product(*(tuple(zip((v.T, v.I, v.F), ranks)) for v in head)):
         term = 1.0
-        strongest = -1
+        strongest = 0  # no drawing yet credits like the weakest class
         for x, r in drawing:
             term *= x
             if r > strongest:
@@ -287,30 +299,52 @@ def oracle_expand(
         for v in body:
             xs = (v.T, v.I, v.F)
             terms = [t * x for t in terms for x in xs]
-        for t, (bT, bI, bF) in zip(terms, bucket_map[strongest + 1]):
-            buckets[bT] += t * lT
-            buckets[bI] += t * lI
-            buckets[bF] += t * lF
+        for t, s in zip(terms, rows[strongest]):
+            if s == 2:
+                uT, uI, uF = t * pT, t * pI, t * pF
+                b2 = (
+                    b2 + uT * lT + uT * lI + uT * lF + uI * lT + uI * lI + uI * lF
+                    + uF * lT + uF * lI + uF * lF
+                )
+                continue
+            # a drawing's bucket is the strongest of s, r and its final rank
+            for x, r in seconds:
+                u = t * x
+                if r == 2:
+                    b2 = b2 + u * lT + u * lI + u * lF
+                elif r or s:
+                    b1 = b1 + u * la + u * lb
+                    b2 += u * ls
+                else:
+                    b0 += u * lw
+                    b1 += u * lm
+                    b2 += u * ls
+    buckets = (b0, b1, b2)
     return NeutrosophicValue(*(buckets[r] for r in ranks))
 
 
 @cache
-def _bucket_map(ranks: tuple[int, int, int], width: int) -> tuple[tuple, ...]:
-    """For the ranks of T, I, F and a tail of width operands: entry s + 1,
-    for each strongest head rank s (-1 without a head), lists the buckets of
-    the final operand's T, I and F drawings after each of the 3^(width - 1)
-    leading tail drawings, in product order.  Only four bucket triples
-    exist, one per strongest rank before the final operand, and every entry
-    holds references to them.  Orders have six rank tuples and tails seven
-    widths, so the cache holds at most 42 maps."""
-    triples = [tuple(r if r > m else m for r in ranks) for m in (-1, 0, 1, 2)]
-    strongest = [-1]  # of every leading tail drawing, in product order
-    for _ in range(width - 1):
-        strongest = [r if r > q else q for r in strongest for q in ranks]
-    return tuple(
-        tuple(triples[(r if r > s else s) + 1] for r in strongest)
-        for s in (-1, 0, 1, 2)
-    )
+def _order_plan(order: tuple[Component, Component, Component]) -> tuple:
+    """For a prevalence order, weakest class first: the ranks of T, I and F,
+    the positions in (T, I, F) of the two weaker classes in that order, and
+    the positions of the weak, middle and strong classes."""
+    ranks = tuple(order.index(c) for c in Component)
+    positions = tuple(ranks.index(r) for r in range(3))
+    return ranks, tuple(sorted(positions[:2])), positions
+
+
+@cache
+def _strongest_rows(ranks: tuple[int, int, int], width: int) -> tuple[bytes, ...]:
+    """For the ranks of T, I, F and a tail of width operands: row s, for each
+    strongest head rank s, gives the strongest rank of each of the
+    3^(width - 2) drawings of all tail operands but the final two, in
+    product order, with the head's drawing in front.  An empty head credits
+    like rank 0.  Orders have six rank tuples and tails six widths of two or
+    more, so the cache holds at most 36 entries."""
+    strongest = [0]
+    for _ in range(width - 2):
+        strongest = [r if r > q else q for q in strongest for r in ranks]
+    return tuple(bytes(r if r > s else s for r in strongest) for s in range(3))
 
 
 def _fuzzy_oracle(a: Assignment, order: PrevalenceOrder) -> list[list[float]]:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Mapping, Sequence
+from functools import lru_cache
 from itertools import islice
 
 from .errors import ArityMismatch, DomainError, ParseError, UnknownVariable
@@ -73,9 +74,33 @@ class Expr(Record):
     with explicit stacks, so they do not recurse either."""
 
 
+def _is_name(name) -> bool:
+    """Whether a formula can spell name: an identifier that is no keyword."""
+    if not isinstance(name, str) or name in KEYWORDS:
+        return False
+    return _NAME_RE.fullmatch(name) is not None
+
+
+@lru_cache(maxsize=256)
+def _usable(names: tuple) -> bool:
+    """Whether a formula can spell every name and no name repeats.  Cached
+    per name tuple, since a catalog table builds an assignment over the same
+    two names 1,936 times."""
+    return all(map(_is_name, names)) and len(set(names)) == len(names)
+
+
+def _name_fault(names: Sequence, where: str = "") -> ArityMismatch:
+    """The usage fault of names that _usable rejects: the first name a
+    formula cannot spell, else the repetition (where names the list)."""
+    for name in names:
+        if not _is_name(name):
+            return ArityMismatch(f"invalid variable name {name!r}")
+    return ArityMismatch(f"duplicate variable names{where}")
+
+
 class Var(Expr):
     def __init__(self, name: str):
-        if not _NAME_RE.fullmatch(name) or name in KEYWORDS:
+        if not _is_name(name):
             raise DomainError(f"invalid variable name {name!r}")
         vars(self).update(name=name)
 
@@ -329,8 +354,8 @@ def compile_expr(e: Expr, var_names: Sequence[str]) -> OperatorSpec:
     shading is then symmetric in them.
     """
     names = list(var_names)
-    if len(set(names)) != len(names):
-        raise ArityMismatch("duplicate variable names")
+    if not _usable(tuple(names)):
+        raise _name_fault(names)
     _check_n(len(names))
     n = len(names)
     masks = {name: projection_mask(n, i) for i, name in enumerate(names)}

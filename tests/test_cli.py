@@ -36,6 +36,7 @@ from vennlogic import (
     compile_expr,
     enumerate_parts,
     evaluate_operator,
+    neutro_operator_table,
     parse,
 )
 from vennlogic.venn import mask_bits, part_labels
@@ -526,6 +527,22 @@ def test_cli_and_library_share_one_input_rule(capsys, logic, text):
             "duplicate variable names in assignment",
             id="repeated-bad-triple",
         ),
+        # the library applies the formula name rule too; the command line
+        # rejects such a name as malformed -v or -a text before it gets there
+        pytest.param(
+            lambda: neutro_operator_table(
+                Assignment.neutrosophic(("a,b", "q"), ((0.5, 0.3, 0.2),) * 2)
+            ),
+            None,
+            "invalid variable name 'a,b'",
+            id="unspellable-neutro_operator_table",
+        ),
+        pytest.param(
+            lambda: compile_expr(parse("q"), ["1x", "q"]),
+            None,
+            "invalid variable name '1x'",
+            id="unspellable-compile_expr",
+        ),
         pytest.param(
             lambda: compile_expr(parse("x"), []),
             None,
@@ -583,8 +600,8 @@ def test_cli_and_library_share_one_input_rule(capsys, logic, text):
     ],
 )
 def test_usage_fault_exits_2_from_both_doors(capsys, call, argv, message):
-    # repeated names, empty name lists and n outside 1..N_MAX are usage
-    # faults: the library raises them with exit code 2, and the command line
+    # repeated or unspellable names, empty name lists and n outside 1..N_MAX
+    # are usage faults: the library raises them with exit code 2, and the command line
     # prints the library's message and exits 2 without a check of its own
     if call is not None:
         with pytest.raises(VennLogicError) as info:

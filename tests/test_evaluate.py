@@ -449,10 +449,36 @@ class TestOracleExpansion:
                     x.hex() for x in (want.T, want.I, want.F)
                 ], (k, str(order))
 
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_bit_identical_on_boundary_components(self, k):
+        # zeros, ones and ties (T = I = F) make many products equal or zero,
+        # and a repeated operand draws the same factors twice, so a term
+        # credited to the wrong bucket or added out of order shows in the hex
+        rng = random.Random(7200 + k)
+        pool = [
+            NeutrosophicValue(0.0, 0.0, 0.0),
+            NeutrosophicValue(1.0, 1.0, 1.0),
+            NeutrosophicValue(1.0, 0.0, 0.0),
+            NeutrosophicValue(0.0, 1.0, 0.0),
+            NeutrosophicValue(0.0, 0.0, 1.0),
+            NeutrosophicValue(0.1, 0.1, 0.1),
+            NeutrosophicValue(0.7, 0.7, 0.7),
+            NeutrosophicValue(0.0, 1.0, 0.3),
+            NeutrosophicValue(0.3, 0.7, 0.9),
+        ]
+        for _ in range(3 if k < 8 else 1):
+            values = rng.choices(pool, k=k)
+            for order in ALL_ORDERS:
+                got = oracle_expand(values, order)
+                want = _per_drawing_oracle(values, order)
+                assert [x.hex() for x in (got.T, got.I, got.F)] == [
+                    x.hex() for x in (want.T, want.I, want.F)
+                ], (k, str(order), values)
+
     def test_cached_bucket_maps_across_orders_and_widths(self):
-        # orders and tail widths interleave, so a bucket map cached under the
-        # wrong key is reused by a call that needs another one; k = 8..10
-        # stream a head, which reaches every strongest head rank
+        # orders and tail widths interleave, so a row or an order plan cached
+        # under the wrong key is reused by a call that needs another one;
+        # k = 8..10 stream a head, which reaches every strongest head rank
         rng = random.Random(7100)
         for k in range(1, 11):
             values = [
@@ -465,8 +491,25 @@ class TestOracleExpansion:
                 assert [x.hex() for x in (got.T, got.I, got.F)] == [
                     x.hex() for x in (want.T, want.I, want.F)
                 ], (k, str(order))
-        # one map per order and tail width: 6 orders x 7 widths
-        assert evaluate._bucket_map.cache_info().currsize <= 42
+        # one set of rows per order and tail width, one plan per order
+        assert evaluate._strongest_rows.cache_info().currsize <= 6 * 7
+        assert evaluate._order_plan.cache_info().currsize <= 6
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_report_columns_match_per_drawing_loop(self, n):
+        # every part's operands are its member values and the negations of
+        # the others, in variable order, as neutro_part_value takes them
+        a = Assignment.neutrosophic(_names(n), _triples(random.Random(7300 + n), n))
+        for order in ALL_ORDERS:
+            columns = evaluate._neutro_oracle(a, order)
+            for mask in range(1 << n):
+                operands = [
+                    v if mask >> i & 1 else neutro_neg(v) for i, v in enumerate(a.values)
+                ]
+                want = _per_drawing_oracle(operands, order)
+                assert [c[mask].hex() for c in columns] == [
+                    x.hex() for x in (want.T, want.I, want.F)
+                ], (n, str(order), mask)
 
     @pytest.mark.parametrize("order", ALL_ORDERS, ids=str)
     def test_report_at_budget_edge(self, order):
